@@ -1,0 +1,109 @@
+"""The sparse-combination arithmetic shared by every expression type.
+
+A combination maps keys to nonzero exact rationals and carries a basis tag
+plus, for the species types, the ground sets its keys partition.  The
+independent monomial oracle keeps its own polynomial classes and does not
+use this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class Combination:
+    """Immutable sparse rational combination of keys in one context.
+
+    A subclass lists its ``BASES``, checks each key in ``_check_key``, names
+    its canonical formatter in ``parsing`` in ``_FORMAT``, and returns from
+    ``_context`` the constructor arguments that precede the terms: the basis
+    plus any ground sets.  Two combinations add only when their contexts
+    agree after ``_coerce`` has brought the right operand over, and raise
+    ``ValueError(_MISMATCH)`` otherwise; ``_product`` is the bilinear product
+    used when both factors are combinations.
+    """
+
+    __slots__ = ("basis", "terms")
+
+    _UNKNOWN_BASIS = "unknown basis {!r}"
+
+    def __init__(self, basis: str, terms=None):
+        if basis not in self.BASES:
+            raise ValueError(self._UNKNOWN_BASIS.format(basis))
+        self.basis = basis
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            self._check_key(key)
+            c = Fraction(coeff)
+            if c:
+                clean[key] = c
+        self.terms = clean
+
+    def _context(self) -> tuple:
+        return (self.basis,)
+
+    def _new(self, terms) -> "Combination":
+        return type(self)(*self._context(), terms)
+
+    def _coerce(self, other):
+        return other
+
+    def _product(self, other):
+        return NotImplemented
+
+    def coefficient(self, *key) -> Fraction:
+        """The coefficient at a key; a tensor key is passed as its two legs."""
+        return self.terms.get(key if len(key) > 1 else key[0], Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._context() == other._context()
+            and self.terms == other.terms
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __str__(self):
+        from . import parsing
+
+        return getattr(parsing, self._FORMAT)(self)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other._context() != self._context():
+            raise ValueError(self._MISMATCH)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._new(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rsub__(self, other):
+        return (-1) * self + other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c) -> "Combination":
+        return self._new({key: v * c for key, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Combination):
+            return self._product(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)

@@ -12,9 +12,11 @@ basis, where every route has a closed form:
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
 The product is the shifted concatenation of keys on the multiplicative p and
-x bases; the coproduct on the p basis splits blocks between the tensor legs,
-and on the x basis it is computed by the closed interval-sum formula for the
-splitting coefficients, not by converting to p.
+x bases.  The coproduct is the graded collapse of the Hopf monoid in
+`species`: the species coproduct components summed over every ordered split
+of the ground set, with both legs standardized.  On m and p this reduces to
+splitting whole blocks between the legs; x sums the species components
+directly; e goes through p.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import sym as _sym
+from .combination import Combination
 from .lattice import (
     coarsenings,
     interval,
@@ -38,29 +41,16 @@ from .partitions import (
     Permutation,
     SetPartition,
     apply_permutation,
-    disjoint_union,
     lambda_factorial,
     lambda_superfactorial,
     slash,
 )
+from .species import c_coefficient, delta_key
 
 BASES = ("m", "p", "e", "x")
 
 
-def _validate_terms(terms) -> dict:
-    clean = {}
-    for pi, coeff in (terms or {}).items():
-        if not isinstance(pi, SetPartition):
-            raise ValueError(f"keys must be set partitions, got {pi!r}")
-        if not pi.is_standard():
-            raise ValueError(f"keys must partition {{1..k}}, got {pi}")
-        c = Fraction(coeff)
-        if c:
-            clean[pi] = c
-    return clean
-
-
-class NCSymExpr:
+class NCSymExpr(Combination):
     """Sparse rational combination of basis-tagged set partitions.
 
     Every key partitions an initial segment {1..k}; distinct degrees may mix
@@ -69,13 +59,23 @@ class NCSymExpr:
     converts that operand to the left operand's basis first.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    BASES = BASES
+    _FORMAT = "format_ncsym"
 
-    def __init__(self, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        self.terms = _validate_terms(terms)
+    def _check_key(self, pi) -> None:
+        if not isinstance(pi, SetPartition):
+            raise ValueError(f"keys must be set partitions, got {pi!r}")
+        if not pi.is_standard():
+            raise ValueError(f"keys must partition {{1..k}}, got {pi}")
+
+    def _coerce(self, other):
+        if isinstance(other, NCSymExpr):
+            return convert(other, self.basis)
+        return NCSymExpr(self.basis, {SetPartition.empty(): other})
+
+    def _product(self, other):
+        return product(self, other)
 
     @classmethod
     def element(cls, basis: str, pi: SetPartition) -> "NCSymExpr":
@@ -89,140 +89,34 @@ class NCSymExpr:
     def zero(cls, basis: str) -> "NCSymExpr":
         return cls(basis)
 
-    def coefficient(self, pi: SetPartition) -> Fraction:
-        return self.terms.get(pi, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degrees(self) -> set:
         return {pi.size for pi in self.terms}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCSymExpr)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
 
-    __hash__ = None
-
-    def __repr__(self):
-        return f"NCSymExpr({str(self)!r})"
-
-    def __str__(self):
-        from .parsing import format_ncsym
-
-        return format_ncsym(self)
-
-    def __add__(self, other):
-        if isinstance(other, NCSymExpr):
-            if other.basis != self.basis:
-                other = convert(other, self.basis)
-            terms = dict(self.terms)
-            for pi, c in other.terms.items():
-                terms[pi] = terms.get(pi, 0) + c
-            return NCSymExpr(self.basis, terms)
-        return self + Fraction(other) * NCSymExpr.unit(self.basis)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rsub__(self, other):
-        return (-1) * self + other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def scale(self, c) -> "NCSymExpr":
-        return NCSymExpr(self.basis, {pi: v * c for pi, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NCSymExpr):
-            return product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-
-class NCTensorExpr:
+class NCTensorExpr(Combination):
     """Sparse combination of ordered pairs of set partitions, one basis tag.
 
     Coproduct output: both legs of every key are standard partitions.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    BASES = BASES
+    _MISMATCH = "cannot add tensors in different bases"
+    _FORMAT = "format_nctensor"
 
-    def __init__(self, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            left, right = key
-            for leg in (left, right):
-                if not isinstance(leg, SetPartition) or not leg.is_standard():
-                    raise ValueError(f"tensor legs must partition {{1..k}}, got {leg}")
-            c = Fraction(coeff)
-            if c:
-                clean[(left, right)] = c
-        self.terms = clean
+    def _check_key(self, key) -> None:
+        left, right = key
+        for leg in (left, right):
+            if not isinstance(leg, SetPartition) or not leg.is_standard():
+                raise ValueError(f"tensor legs must partition {{1..k}}, got {leg}")
+
+    def _product(self, other):
+        return tensor_product(self, other)
 
     @classmethod
     def unit(cls, basis: str) -> "NCTensorExpr":
         e = SetPartition.empty()
         return cls(basis, {(e, e): 1})
-
-    def coefficient(self, left: SetPartition, right: SetPartition) -> Fraction:
-        return self.terms.get((left, right), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCTensorExpr)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"NCTensorExpr({str(self)!r})"
-
-    def __str__(self):
-        from .parsing import format_nctensor
-
-        return format_nctensor(self)
-
-    def __add__(self, other: "NCTensorExpr") -> "NCTensorExpr":
-        if other.basis != self.basis:
-            raise ValueError("cannot add tensors in different bases")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return NCTensorExpr(self.basis, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def scale(self, c) -> "NCTensorExpr":
-        return NCTensorExpr(self.basis, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NCTensorExpr):
-            return tensor_product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
 
 def _bottom(ground) -> SetPartition:
@@ -309,27 +203,20 @@ def product(a: NCSymExpr, b) -> NCSymExpr:
     return convert(product(convert(a, "p"), convert(b, "p")), basis)
 
 
-def _ordered_splits(ground):
-    elems = sorted(ground)
-    gset = frozenset(elems)
-    for r in range(len(elems) + 1):
-        for chosen in itertools.combinations(elems, r):
-            s1 = frozenset(chosen)
-            yield s1, gset - s1
-
-
 @lru_cache(maxsize=None)
 def _key_coproduct(basis: str, pi: SetPartition) -> tuple:
     """Coproduct of one basis element over standardized leg pairs.
 
-    p: one term per way of distributing whole blocks between the legs.
-    x: for each ordered ground-set split and each pair of refinements
-       (D1, D2) of the restrictions, the Möbius value of (D1 and D2 together,
-       pi) is credited to every standardized pair of refinements of D1, D2.
-    m, e: conversion to p, split there, legs converted back.
+    The graded coproduct is the sum of the species components over every
+    ordered split of the ground set, legs standardized.
+    m, p: only splits into unions of blocks have a component, so the sum
+       runs over the subsets of blocks instead of the ground splits.
+    x: the species components at every split, each distinct leg
+       standardized once.
+    e: conversion to p, split there, legs converted back.
     """
-    if basis == "p":
-        out = {}
+    out = {}
+    if basis in ("m", "p"):
         l = len(pi.blocks)
         for r in range(l + 1):
             for chosen in itertools.combinations(range(l), r):
@@ -342,22 +229,18 @@ def _key_coproduct(basis: str, pi: SetPartition) -> tuple:
                 out[key] = out.get(key, 0) + 1
         return tuple(out.items())
     if basis == "x":
-        out = {}
-        for s1, s2 in _ordered_splits(pi.ground):
-            a1 = pi.restrict(s1)
-            a2 = pi.restrict(s2)
-            refs2 = list(refinements(a2))
-            subs2 = {d2: [c.standardize() for c in refinements(d2)] for d2 in refs2}
-            for d1 in refinements(a1):
-                subs1 = [b.standardize() for b in refinements(d1)]
-                for d2 in refs2:
-                    w = mobius(disjoint_union(d1, d2), pi)
-                    for b in subs1:
-                        for c in subs2[d2]:
-                            key = (b, c)
-                            out[key] = out.get(key, 0) + w
+        elems = sorted(pi.ground)
+        standard = {}
+        for r in range(len(elems) + 1):
+            for chosen in itertools.combinations(elems, r):
+                s1 = frozenset(chosen)
+                for (left, right), w in delta_key("x", pi, s1, pi.ground - s1):
+                    for leg in (left, right):
+                        if leg not in standard:
+                            standard[leg] = leg.standardize()
+                    key = (standard[left], standard[right])
+                    out[key] = out.get(key, 0) + w
         return tuple((k, v) for k, v in out.items() if v)
-    out = {}
     for sigma, c in _key_convert(basis, "p", pi):
         for (left, right), d in _key_coproduct("p", sigma):
             for lt, lc in _key_convert("p", basis, left):
@@ -407,35 +290,39 @@ def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:
     return NCTensorExpr(basis, terms)
 
 
+def _leg_placements(n: int, sigma: SetPartition, tau: SetPartition) -> list:
+    """Each ordered split of {1..n} into parts of the leg degrees, as
+    (s1, s2, sigma pulled back onto s1, tau pulled back onto s2)."""
+    for part in (sigma, tau):
+        if not part.is_standard():
+            raise ValueError(f"arguments must partition {{1..k}}, got {part}")
+    a, b = sigma.size, tau.size
+    if a + b != n:
+        raise ValueError(f"leg degrees {a} + {b} do not sum to {n}")
+    elems = range(1, n + 1)
+    out = []
+    for s1 in itertools.combinations(elems, a):
+        s2 = [x for x in elems if x not in s1]
+        left = sigma.relabel(dict(zip(elems, s1)))
+        right = tau.relabel(dict(zip(elems, s2)))
+        out.append((s1, s2, left, right))
+    return out
+
+
 def x_coproduct_coefficient(
     pi: SetPartition, sigma: SetPartition, tau: SetPartition
 ) -> Fraction:
     """Coefficient of the (sigma, tau) tensor term in the coproduct of x at pi.
 
-    Computed by the closed splitting-coefficient sum: for each ordered split
-    matching the leg degrees, the legs are pulled back onto the split parts
-    and the Möbius values of the qualifying interleaved refinements are
-    accumulated.  The full coproduct is never expanded.
+    The sum of the species splitting coefficients over the ordered splits
+    matching the leg degrees, with the legs pulled back onto the split
+    parts.  The full coproduct is never expanded.
     """
-    for part in (pi, sigma, tau):
-        if not part.is_standard():
-            raise ValueError(f"arguments must partition {{1..k}}, got {part}")
-    a, b, n = sigma.size, tau.size, pi.size
-    if a + b != n:
-        raise ValueError(f"leg degrees {a} + {b} do not sum to {n}")
+    if not pi.is_standard():
+        raise ValueError(f"arguments must partition {{1..k}}, got {pi}")
     total = Fraction(0)
-    elems = list(range(1, n + 1))
-    for chosen in itertools.combinations(elems, a):
-        s1 = list(chosen)
-        in1 = set(chosen)
-        s2 = [x for x in elems if x not in in1]
-        left = sigma.relabel({i + 1: s1[i] for i in range(a)})
-        right = tau.relabel({i + 1: s2[i] for i in range(b)})
-        a1 = pi.restrict(s1)
-        a2 = pi.restrict(s2)
-        for d1 in interval(left, a1):
-            for d2 in interval(right, a2):
-                total += mobius(disjoint_union(d1, d2), pi)
+    for s1, s2, left, right in _leg_placements(pi.size, sigma, tau):
+        total += c_coefficient(pi, s1, s2, left, right)
     return total
 
 
@@ -448,22 +335,11 @@ def x_top_coproduct_coefficient(
     the pulled-back legs, l counting blocks.  Used to cross-check the general
     route and the brute-force expansion against each other.
     """
-    for part in (sigma, tau):
-        if not part.is_standard():
-            raise ValueError(f"arguments must partition {{1..k}}, got {part}")
-    a, b = sigma.size, tau.size
-    if a + b != n:
-        raise ValueError(f"leg degrees {a} + {b} do not sum to {n}")
+    placements = _leg_placements(n, sigma, tau)
     if n == 0:
         return Fraction(1)  # the unit is grouplike
     total = 0
-    elems = list(range(1, n + 1))
-    for chosen in itertools.combinations(elems, a):
-        s1 = list(chosen)
-        in1 = set(chosen)
-        s2 = [x for x in elems if x not in in1]
-        left = sigma.relabel({i + 1: s1[i] for i in range(a)})
-        right = tau.relabel({i + 1: s2[i] for i in range(b)})
+    for _, _, left, right in placements:
         for nu1 in coarsenings(left):
             for nu2 in coarsenings(right):
                 l = len(nu1.blocks) + len(nu2.blocks)

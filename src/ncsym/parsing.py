@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .expressions import NCSymExpr, NCTensorExpr
 from .partitions import IntegerPartition, SetPartition
-from .species import SpeciesElement, SpeciesTensor
+from .species import SpeciesElement
 from .sym import SymExpr
 
 
@@ -209,20 +209,6 @@ def format_nctensor(t: NCTensorExpr) -> str:
     return _join_signed(pieces)
 
 
-def format_species(v: SpeciesElement) -> str:
-    pieces = []
-    for pi in sorted(v.terms, key=lambda p: p.rgs()):
-        pieces.append((v.terms[pi], _term_body(v.basis, str(pi), not pi.blocks)))
-    return _join_signed(pieces)
-
-
-def format_species_tensor(t: SpeciesTensor) -> str:
-    pieces = []
-    for left, right in sorted(t.terms, key=lambda k: (k[0].rgs(), k[1].rgs())):
-        pieces.append((t.terms[(left, right)], _tensor_body(t.basis, left, right)))
-    return _join_signed(pieces)
-
-
 def ncsym_json(expr: NCSymExpr) -> list:
     """Schema: list of {basis, blocks, numerator, denominator}."""
     return [
@@ -265,26 +251,10 @@ def nctensor_json(t: NCTensorExpr) -> list:
     ]
 
 
-def species_json(v: SpeciesElement) -> list:
-    return [
-        {
-            "basis": v.basis,
-            "blocks": [list(blk) for blk in pi.blocks],
-            "numerator": v.terms[pi].numerator,
-            "denominator": v.terms[pi].denominator,
-        }
-        for pi in sorted(v.terms, key=lambda p: p.rgs())
-    ]
-
-
-def species_tensor_json(t: SpeciesTensor) -> list:
-    return [
-        {
-            "basis": t.basis,
-            "left_blocks": [list(blk) for blk in left.blocks],
-            "right_blocks": [list(blk) for blk in right.blocks],
-            "numerator": t.terms[(left, right)].numerator,
-            "denominator": t.terms[(left, right)].denominator,
-        }
-        for left, right in sorted(t.terms, key=lambda k: (k[0].rgs(), k[1].rgs()))
-    ]
+# Every key of a species value partitions one shared ground set, so the
+# graded canonical order (degree, then restricted growth string) reduces to
+# the restricted growth string and the graded printers serve unchanged.
+format_species = format_ncsym
+format_species_tensor = format_nctensor
+species_json = ncsym_json
+species_tensor_json = nctensor_json

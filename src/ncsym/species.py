@@ -3,9 +3,11 @@
 Vector-space values are materialized only at concrete ground sets: an
 element is a sparse combination of partitions of one declared ground set in
 one of the m, p, x bases.  Products and coproducts are indexed by ordered
-decompositions of the ground set; collapsing the grading over the standard
-sets {1..n} and standardizing the coproduct legs recovers the graded algebra
-in `expressions`.
+decompositions of the ground set.  This module holds the only implementation
+of the coproduct component rules (`delta_key`) and of the splitting
+coefficients (`c_coefficient`).  The graded coproduct in `expressions`, and
+so `fock_coproduct`, is the standardized sum of these components over every
+ordered split of {1..n}; the e basis goes through p.
 """
 
 from __future__ import annotations
@@ -13,31 +15,33 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .expressions import NCTensorExpr
+from .combination import Combination
 from .lattice import interval, mobius, refinements
+from .limits import check_degree
 from .partitions import SetPartition, disjoint_union
 
 BASES = ("m", "p", "x")
 
 
-class SpeciesElement:
+class SpeciesElement(Combination):
     """Sparse combination of partitions of one fixed ground set."""
 
-    __slots__ = ("ground", "basis", "terms")
+    __slots__ = ("ground",)
+    BASES = BASES
+    _UNKNOWN_BASIS = "unknown species basis {!r}"
+    _MISMATCH = "can only add species elements on one ground set and basis"
+    _FORMAT = "format_species"
 
     def __init__(self, ground, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown species basis {basis!r}")
         self.ground = frozenset(ground)
-        self.basis = basis
-        clean = {}
-        for pi, coeff in (terms or {}).items():
-            if not isinstance(pi, SetPartition) or pi.ground != self.ground:
-                raise ValueError(f"{pi} does not partition {sorted(self.ground)}")
-            c = Fraction(coeff)
-            if c:
-                clean[pi] = c
-        self.terms = clean
+        super().__init__(basis, terms)
+
+    def _check_key(self, pi) -> None:
+        if not isinstance(pi, SetPartition) or pi.ground != self.ground:
+            raise ValueError(f"{pi} does not partition {sorted(self.ground)}")
+
+    def _context(self) -> tuple:
+        return (self.ground, self.basis)
 
     @classmethod
     def element(cls, basis: str, pi: SetPartition) -> "SpeciesElement":
@@ -47,125 +51,30 @@ class SpeciesElement:
     def unit(cls, basis: str) -> "SpeciesElement":
         return cls((), basis, {SetPartition.empty(): 1})
 
-    def coefficient(self, pi: SetPartition) -> Fraction:
-        return self.terms.get(pi, Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpeciesElement)
-            and self.basis == other.basis
-            and self.ground == other.ground
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SpeciesElement({str(self)!r})"
-
-    def __str__(self):
-        from .parsing import format_species
-
-        return format_species(self)
-
-    def __add__(self, other: "SpeciesElement") -> "SpeciesElement":
-        if other.basis != self.basis or other.ground != self.ground:
-            raise ValueError("can only add species elements on one ground set and basis")
-        terms = dict(self.terms)
-        for pi, c in other.terms.items():
-            terms[pi] = terms.get(pi, 0) + c
-        return SpeciesElement(self.ground, self.basis, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def scale(self, c) -> "SpeciesElement":
-        return SpeciesElement(
-            self.ground, self.basis, {pi: v * c for pi, v in self.terms.items()}
-        )
-
-    __mul__ = scale
-    __rmul__ = scale
-
-
-class SpeciesTensor:
+class SpeciesTensor(Combination):
     """Sparse combination of partition pairs over one ordered ground decomposition."""
 
-    __slots__ = ("left_ground", "right_ground", "basis", "terms")
+    __slots__ = ("left_ground", "right_ground")
+    BASES = BASES
+    _UNKNOWN_BASIS = "unknown species basis {!r}"
+    _MISMATCH = "tensor grounds or bases differ"
+    _FORMAT = "format_species_tensor"
 
     def __init__(self, left_ground, right_ground, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown species basis {basis!r}")
         self.left_ground = frozenset(left_ground)
         self.right_ground = frozenset(right_ground)
-        self.basis = basis
-        clean = {}
-        for (left, right), coeff in (terms or {}).items():
-            if left.ground != self.left_ground or right.ground != self.right_ground:
-                raise ValueError(
-                    f"tensor key ({left}, {right}) does not match the declared grounds"
-                )
-            c = Fraction(coeff)
-            if c:
-                clean[(left, right)] = c
-        self.terms = clean
+        super().__init__(basis, terms)
 
-    def coefficient(self, left: SetPartition, right: SetPartition) -> Fraction:
-        return self.terms.get((left, right), Fraction(0))
+    def _check_key(self, key) -> None:
+        left, right = key
+        if left.ground != self.left_ground or right.ground != self.right_ground:
+            raise ValueError(
+                f"tensor key ({left}, {right}) does not match the declared grounds"
+            )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpeciesTensor)
-            and self.basis == other.basis
-            and self.left_ground == other.left_ground
-            and self.right_ground == other.right_ground
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SpeciesTensor({str(self)!r})"
-
-    def __str__(self):
-        from .parsing import format_species_tensor
-
-        return format_species_tensor(self)
-
-    def __add__(self, other: "SpeciesTensor") -> "SpeciesTensor":
-        if (
-            other.basis != self.basis
-            or other.left_ground != self.left_ground
-            or other.right_ground != self.right_ground
-        ):
-            raise ValueError("tensor grounds or bases differ")
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return SpeciesTensor(self.left_ground, self.right_ground, self.basis, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def scale(self, c) -> "SpeciesTensor":
-        return SpeciesTensor(
-            self.left_ground,
-            self.right_ground,
-            self.basis,
-            {k: v * c for k, v in self.terms.items()},
-        )
-
-    __mul__ = scale
-    __rmul__ = scale
+    def _context(self) -> tuple:
+        return (self.left_ground, self.right_ground, self.basis)
 
 
 def relabel(mapping: dict, v: SpeciesElement) -> SpeciesElement:
@@ -219,12 +128,18 @@ def species_mu(a: SpeciesElement, b: SpeciesElement) -> SpeciesElement:
     return SpeciesElement(a.ground | b.ground, a.basis, terms)
 
 
-def _delta_key(basis: str, pi: SetPartition, s1: frozenset, s2: frozenset):
+def delta_key(basis: str, pi: SetPartition, s1: frozenset, s2: frozenset):
+    """Coproduct component of one basis element at the decomposition (s1, s2).
+
+    Yields ((left, right), weight) with nonzero integer weights.  m and p:
+    the pair of restrictions when every block lies inside s1 or s2.  x: the
+    Möbius value mu(D1 + D2, pi) of each pair of refinements (D1, D2) of the
+    restrictions, credited to every pair of refinements of D1 and D2.
+    """
     if basis in ("m", "p"):
         if _split_respecting(pi, s1):
             yield (pi.restrict(s1), pi.restrict(s2)), 1
         return
-    # x rule: weighted pairs of refinements of the two restrictions
     a1 = pi.restrict(s1)
     a2 = pi.restrict(s2)
     out = {}
@@ -243,16 +158,23 @@ def _delta_key(basis: str, pi: SetPartition, s1: frozenset, s2: frozenset):
             yield key, w
 
 
+def _decomposition(ground: frozenset, s1, s2) -> tuple:
+    """The ordered decomposition (s1, s2) of a ground set within the degree cap."""
+    s1, s2 = frozenset(s1), frozenset(s2)
+    if s1 & s2 or (s1 | s2) != ground:
+        raise ValueError(
+            f"({sorted(s1)}, {sorted(s2)}) is not an ordered decomposition of {sorted(ground)}"
+        )
+    check_degree(len(ground))
+    return s1, s2
+
+
 def species_delta(v: SpeciesElement, s1, s2) -> SpeciesTensor:
     """Coproduct component at the ordered decomposition (s1, s2) of the ground set."""
-    s1, s2 = frozenset(s1), frozenset(s2)
-    if s1 & s2 or (s1 | s2) != v.ground:
-        raise ValueError(
-            f"({sorted(s1)}, {sorted(s2)}) is not an ordered decomposition of {sorted(v.ground)}"
-        )
+    s1, s2 = _decomposition(v.ground, s1, s2)
     terms = {}
     for pi, c in v.terms.items():
-        for key, w in _delta_key(v.basis, pi, s1, s2):
+        for key, w in delta_key(v.basis, pi, s1, s2):
             terms[key] = terms.get(key, 0) + c * w
     return SpeciesTensor(s1, s2, v.basis, terms)
 
@@ -263,11 +185,7 @@ def c_coefficient(A: SetPartition, s1, s2, B: SetPartition, C: SetPartition) -> 
     The sum of mu(D, A) over the split-respecting partitions D below A whose
     restrictions are coarser than B and C respectively.
     """
-    s1, s2 = frozenset(s1), frozenset(s2)
-    if s1 & s2 or (s1 | s2) != A.ground:
-        raise ValueError(
-            f"({sorted(s1)}, {sorted(s2)}) is not an ordered decomposition of {sorted(A.ground)}"
-        )
+    s1, s2 = _decomposition(A.ground, s1, s2)
     if B.ground != s1 or C.ground != s2:
         raise ValueError("tensor legs must partition the two decomposition parts")
     total = 0
@@ -292,17 +210,10 @@ def fock_product(v: SpeciesElement, w: SpeciesElement) -> SpeciesElement:
     return species_mu(v, shifted)
 
 
-def fock_coproduct(v: SpeciesElement) -> NCTensorExpr:
-    """Graded coproduct: sum over all ordered splits with standardized legs."""
-    n = _require_standard(v)
-    elems = list(range(1, n + 1))
-    terms = {}
-    for r in range(n + 1):
-        for chosen in itertools.combinations(elems, r):
-            s1 = frozenset(chosen)
-            s2 = frozenset(elems) - s1
-            t = species_delta(v, s1, s2)
-            for (left, right), c in t.terms.items():
-                key = (left.standardize(), right.standardize())
-                terms[key] = terms.get(key, 0) + c
-    return NCTensorExpr(v.basis, terms)
+def fock_coproduct(v: SpeciesElement):
+    """Graded coproduct: the components summed over all ordered splits, legs
+    standardized; this is the coproduct of the same element in NCSym."""
+    from .expressions import NCSymExpr, coproduct
+
+    _require_standard(v)
+    return coproduct(NCSymExpr(v.basis, v.terms))

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import monomials
+from .combination import Combination
 from .lattice import mobius, refinements
 from .limits import check_degree
 from .partitions import IntegerPartition, bracket, concat, integer_partitions
@@ -20,7 +21,7 @@ from .partitions import IntegerPartition, bracket, concat, integer_partitions
 BASES = ("m", "p", "e", "x")
 
 
-class SymExpr:
+class SymExpr(Combination):
     """Sparse rational combination of basis elements of one tagged basis.
 
     Terms map integer partitions to nonzero exact rationals; the empty
@@ -28,20 +29,21 @@ class SymExpr:
     different bases converts the right operand to the left operand's basis.
     """
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ()
+    BASES = BASES
+    _FORMAT = "format_sym"
 
-    def __init__(self, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        clean = {}
-        for lam, coeff in (terms or {}).items():
-            if not isinstance(lam, IntegerPartition):
-                raise ValueError(f"keys must be integer partitions, got {lam!r}")
-            c = Fraction(coeff)
-            if c:
-                clean[lam] = c
-        self.terms = clean
+    def _check_key(self, lam) -> None:
+        if not isinstance(lam, IntegerPartition):
+            raise ValueError(f"keys must be integer partitions, got {lam!r}")
+
+    def _coerce(self, other):
+        if isinstance(other, SymExpr):
+            return convert_sym(other, self.basis)
+        return SymExpr(self.basis, {IntegerPartition(): other})
+
+    def _product(self, other):
+        return product_sym(self, other)
 
     @classmethod
     def element(cls, basis: str, lam: IntegerPartition) -> "SymExpr":
@@ -54,61 +56,6 @@ class SymExpr:
     @classmethod
     def zero(cls, basis: str) -> "SymExpr":
         return cls(basis)
-
-    def coefficient(self, lam: IntegerPartition) -> Fraction:
-        return self.terms.get(lam, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymExpr)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"SymExpr({str(self)!r})"
-
-    def __str__(self):
-        from .parsing import format_sym
-
-        return format_sym(self)
-
-    def __add__(self, other):
-        if isinstance(other, SymExpr):
-            if other.basis != self.basis:
-                other = convert_sym(other, self.basis)
-            terms = dict(self.terms)
-            for lam, c in other.terms.items():
-                terms[lam] = terms.get(lam, 0) + c
-            return SymExpr(self.basis, terms)
-        return self + Fraction(other) * SymExpr.unit(self.basis)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rsub__(self, other):
-        return (-1) * self + other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def scale(self, c) -> "SymExpr":
-        return SymExpr(self.basis, {lam: v * c for lam, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, SymExpr):
-            return product_sym(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,96 @@
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import ncsym
+from ncsym import (
+    CPolynomial,
+    NCPolynomial,
+    NCSymExpr,
+    NCTensorExpr,
+    SetPartition,
+    SpeciesElement,
+    SpeciesTensor,
+    SymExpr,
+)
+from ncsym.combination import Combination
+
+from conftest import ip_, sp_
+
+E = SetPartition.empty()
+
+# class, context, another context, two keys valid in the first context, and
+# the error raised when adding across contexts (None: the operand converts)
+CASES = [
+    (NCSymExpr, ("p",), ("x",), sp_("1/2"), sp_("12"), None),
+    (
+        NCTensorExpr,
+        ("p",),
+        ("x",),
+        (sp_("1"), sp_("1/2")),
+        (sp_("12"), E),
+        "cannot add tensors in different bases",
+    ),
+    (SymExpr, ("p",), ("e",), ip_(2), ip_(1, 1), None),
+    (
+        SpeciesElement,
+        ({2, 5}, "p"),
+        ({2, 5, 7}, "p"),
+        sp_("2/5"),
+        sp_("2,5"),
+        "can only add species elements on one ground set and basis",
+    ),
+    (
+        SpeciesTensor,
+        ({2}, {5, 7}, "x"),
+        ({2}, {5, 7}, "m"),
+        (sp_("2"), sp_("5/7")),
+        (sp_("2"), sp_("5,7")),
+        "tensor grounds or bases differ",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, ctx, other_ctx, a, b, mismatch", CASES, ids=[c[0].__name__ for c in CASES]
+)
+def test_shared_arithmetic(cls, ctx, other_ctx, a, b, mismatch):
+    u = cls(*ctx, {a: 2, b: Fraction(1, 3)})
+    v = cls(*ctx, {a: -2, b: 1})
+    assert (u + v).terms == {b: Fraction(4, 3)}
+    assert u - v == cls(*ctx, {a: 4, b: Fraction(-2, 3)})
+    assert u.scale(3) == 3 * u == u * 3 == cls(*ctx, {a: 6, b: 1})
+    assert -u == cls(*ctx, {a: -2, b: Fraction(-1, 3)})
+    assert (u - u).is_zero()
+    assert cls(*ctx, {a: 0, b: 1}).terms == {b: 1}
+    assert u.scale(0).terms == {}
+    legs = a if isinstance(a, tuple) else (a,)
+    assert u.coefficient(*legs) == 2
+    assert v.coefficient(*legs) == -2
+    assert cls(*ctx) != cls(*other_ctx)
+    assert cls(*ctx) == cls(*ctx)
+    assert repr(u).startswith(f"{cls.__name__}(")
+    if mismatch is None:
+        assert u + cls(*other_ctx) == u
+    else:
+        with pytest.raises(ValueError, match=re.escape(mismatch)):
+            u + cls(*other_ctx)
+
+
+def test_monomial_oracle_shares_no_production_code():
+    production = {"expressions", "species", "sym", "parsing", "checks", "combination"}
+    tree = ast.parse(Path(ncsym.monomials.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert not imported & production
+    assert not issubclass(NCPolynomial, Combination)
+    assert not issubclass(CPolynomial, Combination)

@@ -142,7 +142,7 @@ def test_x_coproduct_coefficient():
 
 
 def test_coproduct_m_basis_round_trip():
-    # m coproduct through p agrees with converting a p coproduct back
+    # the block-subset m coproduct agrees with the p coproduct converted back
     for pi in set_partitions(range(1, 4)):
         direct = coproduct(NCSymExpr.element("m", pi))
         via = tensor_convert(coproduct(convert(NCSymExpr.element("m", pi), "p")), "m")

@@ -193,11 +193,17 @@ def test_cli_exit_codes(capsys):
         main(["check", "--suite", "nope"])
     assert exc.value.code == 2
     capsys.readouterr()
+    assert main(["species", "mu", "e{1}", "e{2}"]) == 2
+    assert capsys.readouterr().err == "error: unknown species basis 'e'\n"
 
 
 def test_cli_degree_cap(monkeypatch, capsys):
     monkeypatch.setenv("NCSYM_MAX_DEGREE", "3")
-    assert main(["convert", "x{1,2,3,4}", "--to", "m"]) == 2
-    err = capsys.readouterr().err
-    assert "cap" in err
+    for argv in (
+        ["convert", "x{1,2,3,4}", "--to", "m"],
+        ["coproduct", "p{1/2/3/4}", "--split", "1,2"],
+        ["species", "delta", "p{1/2/3/4}", "--split", "1,2"],
+    ):
+        assert main(argv) == 2
+        assert "cap" in capsys.readouterr().err
     assert main(["check", "--suite", "mobius", "--max-n", "5"]) == 2

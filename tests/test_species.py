@@ -17,6 +17,7 @@ from ncsym import (
     set_partitions,
     species_delta,
     species_mu,
+    tensor_convert,
 )
 
 from conftest import sp_
@@ -127,11 +128,13 @@ def test_fock_coproduct_examples():
 
 
 def test_fock_bridge():
-    for basis in ("m", "p", "x"):
+    # the coproduct in another basis, converted back, is the reference route
+    for basis, other in (("m", "p"), ("p", "x"), ("x", "p")):
         for n in range(4):
             for pi in set_partitions(range(1, n + 1)):
                 v = SpeciesElement.element(basis, pi)
-                assert fock_coproduct(v) == coproduct(NCSymExpr.element(basis, pi))
+                via = convert(NCSymExpr.element(basis, pi), other)
+                assert fock_coproduct(v) == tensor_convert(coproduct(via), basis)
                 for m in range(3):
                     for sigma in set_partitions(range(1, m + 1)):
                         w = SpeciesElement.element(basis, sigma)
