@@ -11,6 +11,10 @@ basis, where every route has a closed form:
     e at s    = sum over refinements tau of mu(bottom, tau) p at tau
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
+Möbius values are integers, so the memoized per-key tables hold int
+coefficients; only the e-from-p row divides and holds Fractions.  Results
+are Fractions throughout, because ``Combination`` converts on construction.
+
 The product is the shifted concatenation of keys on the multiplicative p and
 x bases.  The coproduct is the graded collapse of the Hopf monoid in
 `species`: the species coproduct components summed over every ordered split
@@ -120,31 +124,31 @@ class NCTensorExpr(Combination):
 
 
 def _bottom(ground) -> SetPartition:
-    return SetPartition.singletons(ground)
+    return SetPartition._trusted(tuple((x,) for x in sorted(ground)), frozenset(ground))
 
 
 @lru_cache(maxsize=None)
 def _key_to_p(basis: str, pi: SetPartition) -> tuple:
     if basis == "p":
-        return ((pi, Fraction(1)),)
+        return ((pi, 1),)
     if basis == "m":
-        return tuple((sigma, Fraction(mobius(pi, sigma))) for sigma in coarsenings(pi))
+        return tuple((sigma, mobius(pi, sigma)) for sigma in coarsenings(pi))
     if basis == "x":
-        return tuple((sigma, Fraction(mobius(sigma, pi))) for sigma in refinements(pi))
+        return tuple((sigma, mobius(sigma, pi)) for sigma in refinements(pi))
     if basis == "e":
         bottom = _bottom(pi.ground)
-        return tuple((tau, Fraction(mobius(bottom, tau))) for tau in refinements(pi))
+        return tuple((tau, mobius(bottom, tau)) for tau in refinements(pi))
     raise ValueError(f"unknown basis {basis!r}")
 
 
 @lru_cache(maxsize=None)
 def _key_from_p(basis: str, tau: SetPartition) -> tuple:
     if basis == "p":
-        return ((tau, Fraction(1)),)
+        return ((tau, 1),)
     if basis == "m":
-        return tuple((sigma, Fraction(1)) for sigma in coarsenings(tau))
+        return tuple((sigma, 1) for sigma in coarsenings(tau))
     if basis == "x":
-        return tuple((sigma, Fraction(1)) for sigma in refinements(tau))
+        return tuple((sigma, 1) for sigma in refinements(tau))
     if basis == "e":
         bottom = _bottom(tau.ground)
         lead = mobius(bottom, tau)
@@ -157,7 +161,7 @@ def _key_from_p(basis: str, tau: SetPartition) -> tuple:
 @lru_cache(maxsize=None)
 def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
     if basis == target:
-        return ((pi, Fraction(1)),)
+        return ((pi, 1),)
     if basis == "p":
         return _key_from_p(target, pi)
     if target == "p":
@@ -266,6 +270,8 @@ def tensor_convert(t: NCTensorExpr, target: str) -> NCTensorExpr:
         return t
     terms = {}
     for (left, right), c in t.terms.items():
+        check_degree(left.size)
+        check_degree(right.size)
         for lt, lc in _key_convert(t.basis, target, left):
             for rt, rc in _key_convert(t.basis, target, right):
                 key = (lt, rt)
@@ -438,11 +444,15 @@ def x_to_m_top(n: int) -> NCSymExpr:
         raise ValueError("degree must be at least 1")
     check_degree(n)
     sign = (-1) ** (n - 1)
+    by_shape = {}  # the count depends only on the block sizes
     terms = {}
     for sigma in set_partitions(range(1, n + 1)):
-        c = count_acyclic_unique_sink(sigma, 1)
+        lam = sigma.shape()
+        if lam not in by_shape:
+            by_shape[lam] = count_acyclic_unique_sink(sigma, 1)
+        c = by_shape[lam]
         if c:
-            terms[sigma] = Fraction(sign * c)
+            terms[sigma] = sign * c
     return NCSymExpr("m", terms)
 
 
@@ -456,6 +466,7 @@ def x_e_expansion_coefficient(pi: SetPartition, sigma: SetPartition) -> Fraction
         raise ValueError(
             f"ground sets differ: {sorted(pi.ground)} vs {sorted(sigma.ground)}"
         )
+    check_degree(pi.size)
     bottom = _bottom(pi.ground)
     total = Fraction(0)
     for tau in interval(sigma, pi):

@@ -73,43 +73,60 @@ def set_partitions(ground):
     the all-singletons partition last.  Memory use is constant.
     """
     elems = sorted(ground)
+    if elems:
+        SetPartition((elems,))  # validates the ground set, once per call
+    universe = frozenset(elems)
+    for blocks in _rgs_blocks(elems):
+        yield SetPartition._trusted(blocks, universe)
+
+
+def _rgs_blocks(elems):
+    """The canonical block tuples of the partitions of a sorted sequence,
+    in the order of ``set_partitions``."""
     n = len(elems)
     if n == 0:
-        yield SetPartition(())
+        yield ()
         return
     rgs = [0] * n
+    # prefix[i] is max(rgs[:i]); the successor step advances the rightmost
+    # entry that does not exceed its prefix maximum and zeroes the rest.
+    prefix = [0] * n
     while True:
-        blocks = {}
+        blocks = [[] for _ in range(max(prefix[-1], rgs[-1]) + 1)]
         for x, b in zip(elems, rgs):
-            blocks.setdefault(b, []).append(x)
-        yield SetPartition(blocks.values())
+            blocks[b].append(x)
+        yield tuple(map(tuple, blocks))
         i = n - 1
-        while i > 0 and rgs[i] > max(rgs[:i]):
+        while i > 0 and rgs[i] > prefix[i]:
             i -= 1
         if i == 0:
             return
         rgs[i] += 1
+        top = max(prefix[i], rgs[i])
         for j in range(i + 1, n):
             rgs[j] = 0
+            prefix[j] = top
 
 
 def refinements(pi: SetPartition):
     """Yield every partition finer than or equal to ``pi``."""
-    if not pi.blocks:
-        yield pi
-        return
-    per_block = [list(set_partitions(blk)) for blk in pi.blocks]
+    per_block = [list(_rgs_blocks(blk)) for blk in pi.blocks]
     for combo in itertools.product(*per_block):
-        yield SetPartition(blk for part in combo for blk in part.blocks)
+        blocks = tuple(sorted(itertools.chain.from_iterable(combo)))
+        yield SetPartition._trusted(blocks, pi.ground)
 
 
 def coarsenings(pi: SetPartition):
     """Yield every partition coarser than or equal to ``pi``."""
-    l = len(pi.blocks)
-    for grouping in set_partitions(range(1, l + 1)):
-        yield SetPartition(
-            tuple(itertools.chain.from_iterable(pi.blocks[i - 1] for i in grp))
-            for grp in grouping.blocks
+    # Groups of block indices come ordered by their least index, so the
+    # merged blocks come ordered by their minima.
+    for grouping in _rgs_blocks(range(len(pi.blocks))):
+        yield SetPartition._trusted(
+            tuple(
+                tuple(sorted(itertools.chain.from_iterable(pi.blocks[i] for i in grp)))
+                for grp in grouping
+            ),
+            pi.ground,
         )
 
 
@@ -122,9 +139,13 @@ def interval(lower: SetPartition, upper: SetPartition):
     bundles = [[] for _ in upper.blocks]
     for blk in lower.blocks:
         bundles[owner[blk[0]]].append(blk)
-    choices = [list(coarsenings(SetPartition(bundle))) for bundle in bundles]
+    choices = []
+    for bundle, top in zip(bundles, upper.blocks):
+        local = SetPartition._trusted(tuple(bundle), frozenset(top))
+        choices.append([part.blocks for part in coarsenings(local)])
     for combo in itertools.product(*choices):
-        yield SetPartition(blk for part in combo for blk in part.blocks)
+        blocks = tuple(sorted(itertools.chain.from_iterable(combo)))
+        yield SetPartition._trusted(blocks, lower.ground)
 
 
 def mobius(finer: SetPartition, coarser: SetPartition) -> int:

@@ -20,6 +20,10 @@ class SetPartition:
     block and blocks are ordered by their minima.  ``len(p)`` is the number
     of blocks and ``p.size`` the number of ground-set elements.  Instances
     are immutable; equality and hashing use the canonical block tuple.
+
+    The public constructor validates its input.  The lattice enumerators and
+    the order-preserving relabelings, which produce canonical form by
+    construction, build instances through ``_trusted`` instead.
     """
 
     __slots__ = ("blocks", "ground", "_hash")
@@ -41,6 +45,19 @@ class SetPartition:
         self.blocks = tuple(canon)
         self.ground = frozenset(seen)
         self._hash = hash(self.blocks)
+
+    @classmethod
+    def _trusted(cls, blocks: tuple, ground: frozenset) -> "SetPartition":
+        """An instance from blocks already in canonical form, unchecked.
+
+        The caller guarantees that ``blocks`` is a tuple of ascending tuples
+        ordered by their minima and that ``ground`` is their union.
+        """
+        self = object.__new__(cls)
+        self.blocks = blocks
+        self.ground = ground
+        self._hash = hash(blocks)
+        return self
 
     @classmethod
     def empty(cls) -> "SetPartition":
@@ -113,7 +130,10 @@ class SetPartition:
     def standardize(self) -> "SetPartition":
         """Relabel through the order-preserving bijection onto {1, ..., n}."""
         st = {x: i + 1 for i, x in enumerate(sorted(self.ground))}
-        return SetPartition(tuple(st[x] for x in blk) for blk in self.blocks)
+        return SetPartition._trusted(
+            tuple(tuple(st[x] for x in blk) for blk in self.blocks),
+            frozenset(range(1, len(st) + 1)),
+        )
 
     def restrict(self, subset) -> "SetPartition":
         """The partition of ``subset`` by nonempty intersections with the blocks."""
@@ -278,8 +298,9 @@ def slash(pi: SetPartition, sigma: SetPartition) -> SetPartition:
     if not pi.is_standard() or not sigma.is_standard():
         raise ValueError("slash product requires ground sets {1..n} and {1..m}")
     n = pi.size
-    return SetPartition(
-        pi.blocks + tuple(tuple(x + n for x in blk) for blk in sigma.blocks)
+    return SetPartition._trusted(
+        pi.blocks + tuple(tuple(x + n for x in blk) for blk in sigma.blocks),
+        frozenset(range(1, n + sigma.size + 1)),
     )
 
 

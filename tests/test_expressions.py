@@ -14,7 +14,9 @@ from ncsym import (
     convert,
     convert_sym,
     coproduct,
+    count_acyclic_unique_sink_by_enumeration,
     expand_nc,
+    integer_partitions,
     lift_R,
     omega,
     permute,
@@ -28,6 +30,7 @@ from ncsym import (
     x_to_m_top,
     x_top_coproduct_coefficient,
 )
+from ncsym.expressions import BASES
 
 from conftest import elt, ip_, sp_
 
@@ -251,6 +254,37 @@ def test_x_to_m_top():
         assert x_to_m_top(n) == convert(NCSymExpr.element("x", top(n)), "m")
 
 
+def test_x_to_m_top_matches_orientation_enumeration():
+    for n in range(1, 7):
+        expansion = x_to_m_top(n)
+        for sigma in set_partitions(range(1, n + 1)):
+            count = count_acyclic_unique_sink_by_enumeration(sigma, 1)
+            assert expansion.coefficient(sigma) == (-1) ** (n - 1) * count
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+def test_public_coefficients_are_fractions():
+    """Internal tables hold ints; every public result holds Fractions."""
+    keys = [p for n in range(5) for p in set_partitions(range(1, n + 1))]
+    for basis in BASES:
+        for pi in keys:
+            element = NCSymExpr.element(basis, pi)
+            cop = coproduct(element)
+            assert _all_fractions(cop.terms.values())
+            for target in BASES:
+                assert _all_fractions(convert(element, target).terms.values())
+                assert _all_fractions(tensor_convert(cop, target).terms.values())
+            assert _all_fractions(rho(element).terms.values())
+    for n in range(1, 5):
+        assert _all_fractions(x_to_m_top(n).terms.values())
+        for lam in integer_partitions(n):
+            lifted = lift_R(SymExpr("m", {lam: 1}))
+            assert _all_fractions(lifted.terms.values())
+
+
 def test_x_e_expansion_coefficient():
     assert x_e_expansion_coefficient(top(2), sp_("12")) == -1
     assert x_e_expansion_coefficient(sp_("1/2/3"), sp_("12/3")) == 0
@@ -282,6 +316,11 @@ def test_degree_cap(monkeypatch):
         convert(expr, "m")
     with pytest.raises(DegreeLimitError):
         coproduct(expr)
+    for legs in ((top(4), top(1)), (top(1), top(4))):
+        with pytest.raises(DegreeLimitError):
+            tensor_convert(NCTensorExpr("x", {legs: 1}), "m")
+    with pytest.raises(DegreeLimitError):
+        x_e_expansion_coefficient(top(4), sp_("1/2/3/4"))
     monkeypatch.setenv("NCSYM_MAX_DEGREE", "not-a-number")
     with pytest.raises(DegreeLimitError):
         convert(expr, "m")

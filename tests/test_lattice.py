@@ -11,8 +11,10 @@ from ncsym import (
     mobius_to_top,
     refinements,
     set_partitions,
+    slash,
 )
 from ncsym.checks import bell_triangle
+from ncsym.expressions import _bottom
 
 from conftest import sp_
 
@@ -49,6 +51,34 @@ def test_enumeration_order_and_counts():
     for n in range(7):
         seen = list(set_partitions(range(1, n + 1)))
         assert len(seen) == len(set(seen)) == bells[n]
+
+
+def _assert_canonical(p):
+    q = SetPartition(p.blocks)
+    assert (p.blocks, p.ground, hash(p)) == (q.blocks, q.ground, hash(q))
+
+
+@pytest.mark.parametrize("ground", [(3, 7, 10, 12, 15), (2, 5, 11, 13)])
+def test_unvalidated_construction_is_canonical(ground):
+    """Enumerators and order-preserving relabelings skip validation; their
+    output must equal what the validating constructor makes of it."""
+    parts = list(set_partitions(ground))
+    for p in parts:
+        _assert_canonical(p)
+        _assert_canonical(p.standardize())
+        for q in refinements(p):
+            _assert_canonical(q)
+        for q in coarsenings(p):
+            _assert_canonical(q)
+        for upper in parts:
+            for q in interval(p, upper):
+                _assert_canonical(q)
+    for a in parts[::5]:
+        for b in set_partitions(range(1, 4)):
+            _assert_canonical(slash(a.standardize(), b))
+            _assert_canonical(slash(b, a.standardize()))
+    _assert_canonical(_bottom(frozenset(ground)))
+    _assert_canonical(_bottom(frozenset()))
 
 
 def test_mobius_values():

@@ -42,6 +42,10 @@ def test_invalid_blocks():
         SetPartition([[]])
     with pytest.raises(ValueError):
         SetPartition([[0, 1]])
+    # the enumerator skips per-partition validation but checks its ground set
+    for ground in ([0, 1], [2, 2, 3]):
+        with pytest.raises(ValueError):
+            list(set_partitions(ground))
 
 
 @pytest.mark.parametrize(
