@@ -1,8 +1,8 @@
 """The graded algebra of symmetric functions in noncommuting variables.
 
 Expressions are sparse rational combinations of set partitions carrying one
-basis tag out of m, p, e, x.  All basis changes factor through the power sum
-basis, where every route has a closed form:
+basis tag out of m, p, e, x.  Every basis has a closed form to and from the
+power sum basis:
 
     m at tau  = sum over coarsenings sigma of mu(tau, sigma) p at sigma
     p at tau  = sum over coarsenings sigma of m at sigma
@@ -11,9 +11,28 @@ basis, where every route has a closed form:
     e at s    = sum over refinements tau of mu(bottom, tau) p at tau
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
+The four composites that involve m do not walk the comparable pairs through
+p.  They visit each target nu of the ground set once and read its
+coefficient off the meet or the join with the key:
+
+    e at s   -> m at nu: 1 when the meet of s and nu is the bottom, else 0
+    x at pi  -> m at nu: product over blocks B of pi of g(shape of nu on B),
+                g summing mu(sigma, top) over the refinements of one shape
+    m at tau -> x at nu: sum over the coarsenings of the join of tau and nu
+                of the product of mu1(tau blocks) over the merged groups
+    m at tau -> e at nu: the same sum with group weight
+                mu1(tau blocks) mu1(nu blocks) / mu1(size)
+
+where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks.  The join sums depend only
+on the (size, tau blocks, nu blocks) profile of the join's blocks and are
+memoized on it.  x <-> e stays on the pairs through p, so that the interval
+sum of ``x_e_expansion_coefficient`` remains an independent check of it.
+
 Möbius values are integers, so the memoized per-key tables hold int
-coefficients; only the e-from-p row divides and holds Fractions.  Results
-are Fractions throughout, because ``Combination`` converts on construction.
+coefficients; only the rows into e divide and hold Fractions.  ``convert``,
+``coproduct`` and ``tensor_convert`` bring the input coefficients to one
+denominator and accumulate integer numerators.  Results are Fractions
+throughout, because ``Combination`` converts on construction.
 
 The product is the shifted concatenation of keys on the multiplicative p and
 x bases.  The coproduct is the graded collapse of the Hopf monoid in
@@ -28,14 +47,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import sym as _sym
 from .combination import Combination
 from .lattice import (
+    _owner_map,
     coarsenings,
     interval,
+    merge_mobius,
     mobius,
+    refinement_counts,
     refinements,
     set_partitions,
 )
@@ -166,11 +188,136 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
         return _key_from_p(target, pi)
     if target == "p":
         return _key_to_p(basis, pi)
+    if basis == "e" and target == "m":
+        return _e_to_m(pi)
+    if basis == "x" and target == "m":
+        return _x_to_m(pi)
+    if basis == "m":
+        return _m_to(target, pi)
+    # x <-> e: every comparable pair through p
     out = {}
     for sigma, c in _key_to_p(basis, pi):
         for tau, d in _key_from_p(target, sigma):
             out[tau] = out.get(tau, 0) + c * d
     return tuple((k, v) for k, v in out.items() if v)
+
+
+def _e_to_m(s: SetPartition) -> tuple:
+    """m at nu has coefficient one exactly when the meet of s and nu is the
+    bottom: no block of nu holds two elements of one block of s."""
+    owner = _owner_map(s)
+    return tuple(
+        (nu, 1)
+        for nu in set_partitions(s.ground)
+        if all(len({owner[x] for x in blk}) == len(blk) for blk in nu.blocks)
+    )
+
+
+def _x_to_m(pi: SetPartition) -> tuple:
+    """m at nu has coefficient prod over blocks B of pi of g(shape of nu on B).
+
+    The p-route coefficient sum of mu(sigma, pi) over sigma below the meet
+    of pi and nu factors over the blocks of pi.
+    """
+    owner = _owner_map(pi)
+    out = []
+    for nu in set_partitions(pi.ground):
+        traces = [[] for _ in pi.blocks]
+        for blk in nu.blocks:
+            hits = {}
+            for x in blk:
+                hits[owner[x]] = hits.get(owner[x], 0) + 1
+            for i, c in hits.items():
+                traces[i].append(c)
+        coeff = 1
+        for sizes in traces:
+            coeff *= _top_refinement_sum(tuple(sorted(sizes)))
+            if not coeff:
+                break
+        if coeff:
+            out.append((nu, coeff))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _top_refinement_sum(sizes: tuple) -> int:
+    """g: the sum of mu(sigma, top) over the refinements sigma of a partition
+    with these block sizes, from the refinement counts by number of blocks."""
+    return sum(c * merge_mobius(j) for j, c in enumerate(refinement_counts(sizes)) if c)
+
+
+def _m_to(target: str, tau: SetPartition) -> tuple:
+    """m at tau in x or e, one join per target nu.
+
+    The p-route coefficient at nu sums mu(tau, sigma) (x) or
+    mu(tau, sigma) mu(nu, sigma) / mu(bottom, sigma) (e) over the sigma
+    above the join of tau and nu.  Both factor over the blocks of sigma, so
+    the sum depends only on the (size, tau blocks, nu blocks) profile of
+    the join's blocks.
+    """
+    # join blocks as bit masks over the blocks of tau, each with its nu-block count
+    bit = {x: 1 << i for i, blk in enumerate(tau.blocks) for x in blk}
+    size = {}  # join block mask -> its number of elements
+    out = []
+    for nu in set_partitions(tau.ground):
+        joined = {}
+        for blk in nu.blocks:
+            mask, v = 0, 1
+            for x in blk:
+                mask |= bit[x]
+            for other in [m for m in joined if m & mask]:
+                mask |= other
+                v += joined.pop(other)
+            joined[mask] = v
+        profile = []
+        for mask, v in joined.items():
+            if mask not in size:
+                size[mask] = sum(
+                    len(blk) for i, blk in enumerate(tau.blocks) if mask >> i & 1
+                )
+            profile.append((size[mask], mask.bit_count(), v))
+        coeff = _coarsening_sum(target, tuple(sorted(profile)))
+        if coeff:
+            out.append((nu, coeff))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _coarsening_sum(target: str, profile: tuple) -> int | Fraction:
+    """Sum over the set partitions of the profile's entries of the product,
+    over groups, of the group weight at the group's summed entry."""
+    if not profile:
+        return 1
+    (s0, t0, v0), rest = profile[0], profile[1:]
+    total = 0
+    for r in range(len(rest) + 1):
+        for chosen in itertools.combinations(range(len(rest)), r):
+            s, t, v = s0, t0, v0
+            for i in chosen:
+                s += rest[i][0]
+                t += rest[i][1]
+                v += rest[i][2]
+            if target == "x":
+                w = merge_mobius(t)
+            else:
+                w = Fraction(merge_mobius(t) * merge_mobius(v), merge_mobius(s))
+            left = tuple(e for i, e in enumerate(rest) if i not in chosen)
+            total += w * _coarsening_sum(target, left)
+    return total
+
+
+def _common_denominator(terms: dict) -> tuple:
+    """The coefficients as integer numerators over their least common
+    denominator, so that accumulating table entries multiplies ints."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _over(terms: dict, den: int) -> dict:
+    """Accumulated numerators back over the common denominator."""
+    if den == 1:
+        return terms
+    return {k: Fraction(v, den) for k, v in terms.items()}
 
 
 def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
@@ -179,12 +326,13 @@ def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
         raise ValueError(f"unknown basis {target!r}")
     if target == expr.basis:
         return expr
+    numerators, den = _common_denominator(expr.terms)
     terms = {}
-    for pi, c in expr.terms.items():
+    for pi, a in numerators.items():
         check_degree(pi.size)
         for sigma, d in _key_convert(expr.basis, target, pi):
-            terms[sigma] = terms.get(sigma, 0) + c * d
-    return NCSymExpr(target, terms)
+            terms[sigma] = terms.get(sigma, 0) + a * d
+    return NCSymExpr(target, _over(terms, den))
 
 
 def product(a: NCSymExpr, b) -> NCSymExpr:
@@ -256,27 +404,29 @@ def _key_coproduct(basis: str, pi: SetPartition) -> tuple:
 
 def coproduct(expr: NCSymExpr) -> NCTensorExpr:
     """Coproduct with both tensor legs standardized, in the expression's basis."""
+    numerators, den = _common_denominator(expr.terms)
     terms = {}
-    for pi, c in expr.terms.items():
+    for pi, a in numerators.items():
         check_degree(pi.size)
         for key, d in _key_coproduct(expr.basis, pi):
-            terms[key] = terms.get(key, 0) + c * d
-    return NCTensorExpr(expr.basis, terms)
+            terms[key] = terms.get(key, 0) + a * d
+    return NCTensorExpr(expr.basis, _over(terms, den))
 
 
 def tensor_convert(t: NCTensorExpr, target: str) -> NCTensorExpr:
     """Convert both legs of every tensor term to the target basis."""
     if target == t.basis:
         return t
+    numerators, den = _common_denominator(t.terms)
     terms = {}
-    for (left, right), c in t.terms.items():
+    for (left, right), a in numerators.items():
         check_degree(left.size)
         check_degree(right.size)
         for lt, lc in _key_convert(t.basis, target, left):
             for rt, rc in _key_convert(t.basis, target, right):
                 key = (lt, rt)
-                terms[key] = terms.get(key, 0) + c * lc * rc
-    return NCTensorExpr(target, terms)
+                terms[key] = terms.get(key, 0) + a * lc * rc
+    return NCTensorExpr(target, _over(terms, den))
 
 
 def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:
@@ -408,6 +558,7 @@ def _partitions_by_shape(n: int) -> dict:
 
 def set_partitions_of_shape(lam: IntegerPartition) -> tuple:
     """All partitions of {1..n} whose block sizes realize the given shape."""
+    check_degree(lam.n)
     return _partitions_by_shape(lam.n).get(lam, ())
 
 

@@ -8,6 +8,7 @@ suite, where it certifies the closed form on small intervals.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 from .partitions import SetPartition
@@ -164,13 +165,48 @@ def mobius(finer: SetPartition, coarser: SetPartition) -> int:
         counts[owners.pop()] += 1
     value = 1
     for c in counts:
-        value *= (-1) ** (c - 1) * factorial(c - 1)
+        value *= merge_mobius(c)
     return value
+
+
+def merge_mobius(c: int) -> int:
+    """Möbius value of merging c blocks into one: (-1)^(c-1) (c-1)!."""
+    return (-1) ** (c - 1) * factorial(c - 1)
 
 
 def mobius_to_top(pi: SetPartition) -> int:
     """Möbius value from ``pi`` up to the one-block partition of its ground set."""
     if not pi.blocks:
         raise ValueError("the empty partition has no one-block coarsening")
-    l = len(pi.blocks)
-    return (-1) ** (l - 1) * factorial(l - 1)
+    return merge_mobius(len(pi.blocks))
+
+
+@lru_cache(maxsize=None)
+def refinement_counts(sizes: tuple) -> tuple:
+    """Entry j counts the refinements with j blocks of any partition whose
+    blocks have these sizes.
+
+    A refinement splits every block on its own, so the row is the
+    convolution of the Stirling rows S(b, .) of the block sizes.
+    """
+    if not sizes:
+        return (1,)
+    rest = refinement_counts(sizes[1:])
+    row = _stirling_row(sizes[0])
+    out = [0] * (len(rest) + len(row) - 1)
+    for i, a in enumerate(rest):
+        if a:
+            for j, b in enumerate(row):
+                out[i + j] += a * b
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _stirling_row(b: int) -> tuple:
+    """Entry j is S(b, j), the number of partitions of b elements into j blocks."""
+    if b == 0:
+        return (1,)
+    prev = _stirling_row(b - 1)
+    return (0,) + tuple(
+        j * (prev[j] if j < len(prev) else 0) + prev[j - 1] for j in range(1, b + 1)
+    )

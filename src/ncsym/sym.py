@@ -1,22 +1,31 @@
 """Classical symmetric functions indexed by integer partitions.
 
-The m/p/e bases are related through one trusted route: each degree-n basis
-element is expanded in n variables by the monomial oracle, its m-coordinates
-are read off the exponent vectors, and the resulting matrices are inverted
-exactly.  The multiplicative x-basis is defined through its power sum
-expansion and inverted per degree the same way.
+The p and e bases reach m by counting: the m-coefficient of p or e at lam
+at gamma is the number of fillings of a table with rows lam and column
+totals gamma (whole parts for p, 0/1 rows for e).  The m-to-p and m-to-e
+tables are these matrices inverted exactly.  The multiplicative x-basis is
+the product over its parts of one-part power sum rows, and p-to-x inverts
+it per degree the same way.  The monomial oracle is not used here; it
+expands the same elements as polynomials and checks these tables.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from . import monomials
 from .combination import Combination
-from .lattice import mobius, refinements
+from .lattice import merge_mobius
 from .limits import check_degree
-from .partitions import IntegerPartition, bracket, concat, integer_partitions
+from .partitions import (
+    IntegerPartition,
+    concat,
+    integer_partitions,
+    lambda_factorial,
+    lambda_superfactorial,
+)
 
 BASES = ("m", "p", "e", "x")
 
@@ -65,20 +74,46 @@ def _degree_partitions(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _to_m(basis: str, n: int) -> dict:
-    """Each degree-n element of ``basis`` in m-coordinates, read at k = n."""
-    k = max(n, 1)
+    """Each degree-n p or e element in m-coordinates.
+
+    The coefficient at gamma counts the fillings of a table with a row per
+    part of lam and column totals gamma: for p every row puts its whole
+    part into one column, for e every row is a 0/1 vector.
+    """
     parts = _degree_partitions(n)
     out = {}
     for lam in parts:
-        poly = monomials.expand_c(basis, lam, k)
         row = {}
         for gam in parts:
-            exps = gam.parts + (0,) * (k - len(gam.parts))
-            c = poly.coefficient(exps)
+            c = _fillings(basis, lam.parts, gam.parts)
             if c:
                 row[gam] = c
         out[lam] = row
     return out
+
+
+@lru_cache(maxsize=None)
+def _fillings(basis: str, rows: tuple, totals: tuple) -> int:
+    """Fillings of the rows, in order, that use up the column totals exactly.
+
+    Columns are interchangeable, so ``totals`` is kept sorted without zeros.
+    """
+    if not rows:
+        return int(not totals)
+    part, rest = rows[0], rows[1:]
+    if basis == "p":  # the whole part into one column
+        choices, step = [(j,) for j, t in enumerate(totals) if t >= part], part
+    elif basis == "e":  # one unit into each of ``part`` distinct columns
+        choices, step = itertools.combinations(range(len(totals)), part), 1
+    else:
+        raise ValueError(f"no filling rule for basis {basis!r}")
+    count = 0
+    for cols in choices:
+        left = list(totals)
+        for j in cols:
+            left[j] -= step
+        count += _fillings(basis, rest, tuple(sorted(filter(None, left), reverse=True)))
+    return count
 
 
 def _invert_rows(keys: tuple, rows: dict) -> dict:
@@ -101,7 +136,7 @@ def _invert_rows(keys: tuple, rows: dict) -> dict:
         for r in range(n):
             if r != col and aug[r][col]:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+                aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
     out = {}
     for j, gam in enumerate(keys):
         out[gam] = {
@@ -118,13 +153,27 @@ def _from_m(basis: str, n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _x_to_p_key(lam: IntegerPartition) -> dict:
-    """x at ``lam`` as a Möbius-weighted sum of power sums over refinement shapes."""
-    br = bracket(lam)
-    out = {}
-    for sigma in refinements(br):
-        key = sigma.shape()
-        out[key] = out.get(key, 0) + mobius(sigma, br)
-    return {gam: Fraction(c) for gam, c in out.items() if c}
+    """x at ``lam`` in power sums: the product over the parts of one-part rows."""
+    row = {IntegerPartition(): 1}
+    for part in lam.parts:
+        grown = {}
+        for gam, c in row.items():
+            for nu, d in _x_to_p_part(part).items():
+                key = concat(gam, nu)
+                grown[key] = grown.get(key, 0) + c * d
+        row = grown
+    return row
+
+
+@lru_cache(maxsize=None)
+def _x_to_p_part(n: int) -> dict:
+    """x at (n) in power sums: each shape nu weighted by its number of set
+    partitions times the Möbius value of merging its blocks."""
+    return {
+        nu: factorial(n) // (lambda_factorial(nu) * lambda_superfactorial(nu))
+        * merge_mobius(len(nu.parts))
+        for nu in _degree_partitions(n)
+    }
 
 
 @lru_cache(maxsize=None)

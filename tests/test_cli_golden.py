@@ -1,0 +1,30 @@
+"""CLI output pinned byte for byte.
+
+``data/cli_golden.json`` holds argument lists with the exit code and the
+standard output recorded from an earlier build: basis changes over every
+pair in both the set partition and the integer partition forms, products,
+coproducts, the conjecture report and two inputs that must exit 2, in text
+and ``--json``.  A change that alters any of them fails here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ncsym.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[" ".join(case["argv"]) for case in GOLDEN]
+)
+def test_cli_output_is_byte_identical(case, capsys, monkeypatch):
+    monkeypatch.delenv("NCSYM_MAX_DEGREE", raising=False)
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == case["exit_code"]
+    assert capsys.readouterr().out == case["stdout"]

@@ -1,6 +1,9 @@
+import ast
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -30,9 +33,10 @@ from ncsym import (
     x_to_m_top,
     x_top_coproduct_coefficient,
 )
-from ncsym.expressions import BASES
+from ncsym import expressions, graphs, lattice
+from ncsym.expressions import BASES, _key_convert, _key_from_p, _key_to_p
 
-from conftest import elt, ip_, sp_
+from conftest import elt, imported_names, ip_, sp_
 
 
 def top(n):
@@ -262,6 +266,110 @@ def test_x_to_m_top_matches_orientation_enumeration():
             assert expansion.coefficient(sigma) == (-1) ** (n - 1) * count
 
 
+def _two_stage(basis, target, pi):
+    """The composite table through p: every comparable pair, summed."""
+    out = {}
+    for sigma, c in _key_to_p(basis, pi):
+        for tau, d in _key_from_p(target, sigma):
+            out[tau] = out.get(tau, 0) + c * d
+    return {tau: v for tau, v in out.items() if v}
+
+
+COMPOSITES = (("e", "m"), ("x", "m"), ("m", "x"), ("m", "e"))
+
+
+def test_composite_tables_match_two_stage_reference():
+    keys = [pi for n in range(7) for pi in set_partitions(range(1, n + 1))]
+    keys += random.Random(7).sample(list(set_partitions(range(1, 8))), 6)
+    for pi in keys:
+        for basis, target in COMPOSITES:
+            table = _key_convert(basis, target, pi)
+            assert len({tau for tau, _ in table}) == len(table)
+            assert dict(table) == _two_stage(basis, target, pi), (basis, target, pi)
+
+
+def test_convert_accumulates_over_a_common_denominator():
+    a, b = sp_("13/2/4"), sp_("1234")
+    for basis, target in itertools.permutations(BASES, 2):
+        expr = NCSymExpr(basis, {a: Fraction(1, 6), b: Fraction(-3, 4)})
+        want = convert(NCSymExpr.element(basis, a), target) * Fraction(1, 6)
+        want = want + convert(NCSymExpr.element(basis, b), target) * Fraction(-3, 4)
+        assert convert(expr, target) == want
+        assert coproduct(expr) == coproduct(NCSymExpr.element(basis, a)) * Fraction(
+            1, 6
+        ) + coproduct(NCSymExpr.element(basis, b)) * Fraction(-3, 4)
+        t = NCTensorExpr(basis, {(a, b): Fraction(2, 3), (b, a): Fraction(1, 2)})
+        assert tensor_convert(t, target) == tensor_convert(
+            NCTensorExpr(basis, {(a, b): 1}), target
+        ) * Fraction(2, 3) + tensor_convert(
+            NCTensorExpr(basis, {(b, a): 1}), target
+        ) * Fraction(1, 2)
+
+
+def _reachable_names(module, start):
+    """Every name a module-level function uses, following calls to the
+    module's other functions."""
+    functions = {
+        node.name: node
+        for node in ast.parse(Path(module.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, names = set(), [start], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((getattr(node, "module", None) or "").split("."))
+                names.update(alias.name for alias in node.names)
+                continue
+            else:
+                continue
+            names.add(used)
+            if used in functions:
+                todo.append(used)
+    return names
+
+
+def test_oracle_routes_stay_independent():
+    # x -> m takes its block weight from the lattice, not from the orientation
+    # counts that x_to_m_top and the x-to-m check compare it with
+    orientation_route = {
+        "graphs",
+        "count_acyclic_unique_sink",
+        "chromatic_polynomial",
+        "x_to_m_top",
+    }
+    assert not _reachable_names(expressions, "_key_convert") & orientation_route
+    assert "graphs" not in imported_names(lattice)
+    orientation_names = _reachable_names(graphs, "count_acyclic_unique_sink")
+    assert "refinement_counts" not in orientation_names
+    assert not _reachable_names(expressions, "x_to_m_top") & {
+        "_key_convert",
+        "_x_to_m",
+        "_top_refinement_sum",
+        "refinement_counts",
+    }
+    # x <-> e stays on the pairs through p; the conjecture report compares it
+    # with the interval sum, which must not use the tables
+    assert not _reachable_names(expressions, "_key_convert") & {
+        "interval",
+        "x_e_expansion_coefficient",
+    }
+    assert not _reachable_names(expressions, "x_e_expansion_coefficient") & {
+        "_key_convert",
+        "_key_to_p",
+        "_key_from_p",
+        "convert",
+    }
+
+
 def _all_fractions(values):
     return all(type(v) is Fraction for v in values)
 
@@ -321,6 +429,8 @@ def test_degree_cap(monkeypatch):
             tensor_convert(NCTensorExpr("x", {legs: 1}), "m")
     with pytest.raises(DegreeLimitError):
         x_e_expansion_coefficient(top(4), sp_("1/2/3/4"))
+    with pytest.raises(DegreeLimitError):
+        set_partitions_of_shape(ip_(13))
     monkeypatch.setenv("NCSYM_MAX_DEGREE", "not-a-number")
     with pytest.raises(DegreeLimitError):
         convert(expr, "m")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ncsym import (
@@ -14,6 +16,8 @@ from ncsym import (
     slash,
 )
 from ncsym.checks import bell_triangle
+from ncsym.lattice import merge_mobius, refinement_counts
+from ncsym.partitions import bracket, integer_partitions
 from ncsym.expressions import _bottom
 
 from conftest import sp_
@@ -96,6 +100,25 @@ def test_mobius_to_top():
     assert mobius_to_top(sp_("1/2/3/4")) == -6
     with pytest.raises(ValueError):
         mobius_to_top(SetPartition.empty())
+
+
+def test_merge_mobius():
+    assert [merge_mobius(c) for c in range(1, 7)] == [1, -1, 2, -6, 24, -120]
+    for n in range(1, 7):
+        for pi in set_partitions(range(1, n + 1)):
+            assert merge_mobius(len(pi.blocks)) == mobius_to_top(pi)
+
+
+def test_refinement_counts_match_enumeration():
+    assert refinement_counts(()) == (1,)
+    for n in range(8):
+        for lam in integer_partitions(n):
+            by_blocks = Counter(len(s.blocks) for s in refinements(bracket(lam)))
+            row = refinement_counts(lam.parts)
+            assert sum(row) == sum(by_blocks.values())
+            assert all(row[j] == by_blocks[j] for j in range(len(row)))
+            # the count does not depend on the order of the block sizes
+            assert refinement_counts(tuple(reversed(lam.parts))) == row
 
 
 def test_mobius_recursion():

@@ -14,7 +14,9 @@ from ncsym import (
     product_sym,
     rho,
 )
-from ncsym.sym import _x_to_p_key
+from ncsym.lattice import mobius, refinements
+from ncsym.partitions import bracket
+from ncsym.sym import _degree_partitions, _to_m, _x_to_p_key
 
 from conftest import ip_
 
@@ -50,15 +52,42 @@ def test_convert_round_trips():
 def test_convert_matches_oracle():
     from ncsym import CPolynomial
 
-    for n in range(5):
+    for n in range(7):
         k = max(n, 1)
         for lam in integer_partitions(n):
-            for b1 in ("p", "e", "x"):
+            for b1 in ("p", "e", "x") if n < 5 else ("p", "e"):
                 in_m = convert_sym(SymExpr.element(b1, lam), "m")
                 acc = CPolynomial(k)
                 for gam, c in in_m.terms.items():
                     acc = acc + c * expand_c("m", gam, k)
                 assert acc == expand_c(b1, lam, k)
+
+
+def test_to_m_matches_monomial_expansion():
+    for n in range(7):
+        k = max(n, 1)
+        parts = _degree_partitions(n)
+        for basis in "pe":
+            table = _to_m(basis, n)
+            for lam in parts:
+                poly = expand_c(basis, lam, k)
+                read = {}
+                for gam in parts:
+                    c = poly.coefficient(gam.parts + (0,) * (k - len(gam.parts)))
+                    if c:
+                        read[gam] = c
+                assert table[lam] == read, (basis, lam)
+
+
+def test_x_to_p_key_matches_refinement_enumeration():
+    for n in range(9):
+        for lam in integer_partitions(n):
+            br = bracket(lam)
+            want = {}
+            for sigma in refinements(br):
+                gam = sigma.shape()
+                want[gam] = want.get(gam, 0) + mobius(sigma, br)
+            assert _x_to_p_key(lam) == {gam: c for gam, c in want.items() if c}
 
 
 def test_product():
