@@ -20,7 +20,7 @@ from .graphs import (
     stable_partitions,
 )
 from .lattice import mobius
-from .limits import DegreeLimitError, max_degree
+from .limits import max_degree
 from .parsing import (
     ParseError,
     format_ncsym,
@@ -91,9 +91,13 @@ def _cmd_coproduct(args) -> int:
     if len(grounds) > 1:
         raise ValueError("--split needs a homogeneous expression on one ground set")
     ground = grounds.pop() if grounds else frozenset()
+    return _emit_split(args, ground, expr.basis, expr.terms)
+
+
+def _emit_split(args, ground: frozenset, basis: str, terms: dict) -> int:
+    """The species coproduct component with the --split part as first leg."""
     s1 = _parse_int_set(args.split)
-    v = SpeciesElement(ground, expr.basis, expr.terms)
-    t = species_delta(v, s1, ground - s1)
+    t = species_delta(SpeciesElement(ground, basis, terms), s1, ground - s1)
     _emit(args, format_species_tensor(t), species_tensor_json(t))
     return 0
 
@@ -110,10 +114,7 @@ def _cmd_species(args) -> int:
         _emit(args, format_species(result), species_json(result))
         return 0
     v = parse_species(args.expr)
-    s1 = _parse_int_set(args.split)
-    t = species_delta(v, s1, v.ground - s1)
-    _emit(args, format_species_tensor(t), species_tensor_json(t))
-    return 0
+    return _emit_split(args, v.ground, v.basis, v.terms)
 
 
 def _cmd_graph(args) -> int:
@@ -310,9 +311,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except DegreeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,12 +34,15 @@ coefficients; only the rows into e divide and hold Fractions.  ``convert``,
 denominator and accumulate integer numerators.  Results are Fractions
 throughout, because ``Combination`` converts on construction.
 
-The product is the shifted concatenation of keys on the multiplicative p and
-x bases.  The coproduct is the graded collapse of the Hopf monoid in
-`species`: the species coproduct components summed over every ordered split
-of the ground set, with both legs standardized.  On m and p this reduces to
-splitting whole blocks between the legs; x sums the species components
-directly; e goes through p.
+Every Hopf operation uses its basis's own rule; p is a hub only for
+``convert``.  The product of two keys is their shifted concatenation on the
+multiplicative p, x and e bases, and on m the species matching rule
+``species.mu_key`` at the shifted second key.  The coproduct is the graded
+collapse of the Hopf monoid in `species`: the coproduct components summed
+over every ordered split of the ground set, with both legs standardized.  On
+m and p this reduces to splitting whole blocks between the legs; x sums the
+species components; e pairs the restrictions to the two parts at every
+split.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .partitions import (
     lambda_superfactorial,
     slash,
 )
-from .species import c_coefficient, delta_key
+from .species import c_coefficient, delta_key, mu_key
 
 BASES = ("m", "p", "e", "x")
 
@@ -335,24 +338,33 @@ def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
     return NCSymExpr(target, _over(terms, den))
 
 
+def _key_product(basis: str, k1: SetPartition, k2: SetPartition):
+    """Product of two basis keys as (key, weight) pairs.
+
+    p, x, e: the shifted concatenation.  m: the species matching rule with
+    the second key shifted past the first.
+    """
+    if basis == "m":
+        return mu_key(basis, k1, k2.relabel({i: i + k1.size for i in k2.ground}))
+    return ((slash(k1, k2), 1),)
+
+
 def product(a: NCSymExpr, b) -> NCSymExpr:
     """Bilinear product carrying the basis of the left operand.
 
-    On the multiplicative p and x bases the product of two keys is their
-    shifted concatenation; the other bases route through p and convert back.
+    A right operand in another basis is converted first; each pair of keys
+    then multiplies by its basis's own rule, ``_key_product``.
     """
     if not isinstance(b, NCSymExpr):
         return a.scale(b)
     basis = a.basis
-    if basis in ("p", "x"):
-        bb = convert(b, basis)
-        terms = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in bb.terms.items():
-                key = slash(k1, k2)
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return NCSymExpr(basis, terms)
-    return convert(product(convert(a, "p"), convert(b, "p")), basis)
+    bb = convert(b, basis)
+    terms = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in bb.terms.items():
+            for key, w in _key_product(basis, k1, k2):
+                terms[key] = terms.get(key, 0) + c1 * c2 * w
+    return NCSymExpr(basis, terms)
 
 
 @lru_cache(maxsize=None)
@@ -363,9 +375,9 @@ def _key_coproduct(basis: str, pi: SetPartition) -> tuple:
     ordered split of the ground set, legs standardized.
     m, p: only splits into unions of blocks have a component, so the sum
        runs over the subsets of blocks instead of the ground splits.
-    x: the species components at every split, each distinct leg
-       standardized once.
-    e: conversion to p, split there, legs converted back.
+    x: the species components at every split.
+    e: the pair of restrictions to the two parts at every split.
+    Each distinct leg of x and e is standardized once.
     """
     out = {}
     if basis in ("m", "p"):
@@ -380,25 +392,22 @@ def _key_coproduct(basis: str, pi: SetPartition) -> tuple:
                 key = (left, right)
                 out[key] = out.get(key, 0) + 1
         return tuple(out.items())
-    if basis == "x":
-        elems = sorted(pi.ground)
-        standard = {}
-        for r in range(len(elems) + 1):
-            for chosen in itertools.combinations(elems, r):
-                s1 = frozenset(chosen)
-                for (left, right), w in delta_key("x", pi, s1, pi.ground - s1):
-                    for leg in (left, right):
-                        if leg not in standard:
-                            standard[leg] = leg.standardize()
-                    key = (standard[left], standard[right])
-                    out[key] = out.get(key, 0) + w
-        return tuple((k, v) for k, v in out.items() if v)
-    for sigma, c in _key_convert(basis, "p", pi):
-        for (left, right), d in _key_coproduct("p", sigma):
-            for lt, lc in _key_convert("p", basis, left):
-                for rt, rc in _key_convert("p", basis, right):
-                    key = (lt, rt)
-                    out[key] = out.get(key, 0) + c * d * lc * rc
+    elems = sorted(pi.ground)
+    standard = {}
+    for r in range(len(elems) + 1):
+        for chosen in itertools.combinations(elems, r):
+            s1 = frozenset(chosen)
+            s2 = pi.ground - s1
+            if basis == "x":
+                components = delta_key("x", pi, s1, s2)
+            else:
+                components = (((pi.restrict(s1), pi.restrict(s2)), 1),)
+            for (left, right), w in components:
+                for leg in (left, right):
+                    if leg not in standard:
+                        standard[leg] = leg.standardize()
+                key = (standard[left], standard[right])
+                out[key] = out.get(key, 0) + w
     return tuple((k, v) for k, v in out.items() if v)
 
 
@@ -437,10 +446,8 @@ def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:
     terms = {}
     for (a1, a2), c in t1.terms.items():
         for (b1, b2), d in t2.terms.items():
-            left = product(NCSymExpr.element(basis, a1), NCSymExpr.element(basis, b1))
-            right = product(NCSymExpr.element(basis, a2), NCSymExpr.element(basis, b2))
-            for k1, e1 in left.terms.items():
-                for k2, e2 in right.terms.items():
+            for k1, e1 in _key_product(basis, a1, b1):
+                for k2, e2 in _key_product(basis, a2, b2):
                     key = (k1, k2)
                     terms[key] = terms.get(key, 0) + c * d * e1 * e2
     return NCTensorExpr(basis, terms)
@@ -528,24 +535,17 @@ def rho(expr: NCSymExpr) -> _sym.SymExpr:
     """Project onto commuting variables.
 
     Keys collapse to their shapes; monomial terms pick up the multiplicity
-    superfactorial and elementary terms the part factorial, power sums map
-    with scalar one.  Extra-basis input converts to p first and the image is
-    re-expressed in the commutative x-basis.
+    superfactorial and elementary terms the part factorial, power sums and
+    extra elements map with scalar one.  x at pi goes to x at the shape of
+    pi because the interval below pi is the product of the partition
+    lattices of its blocks, so the image of x is multiplicative.
     """
-    basis = expr.basis
-    if basis == "x":
-        return _sym.convert_sym(rho(convert(expr, "p")), "x")
+    scale = {"m": lambda_superfactorial, "e": lambda_factorial}.get(expr.basis)
     terms = {}
     for pi, c in expr.terms.items():
         lam = pi.shape()
-        if basis == "m":
-            scale = lambda_superfactorial(lam)
-        elif basis == "e":
-            scale = lambda_factorial(lam)
-        else:
-            scale = 1
-        terms[lam] = terms.get(lam, 0) + c * scale
-    return _sym.SymExpr(basis, terms)
+        terms[lam] = terms.get(lam, 0) + (c * scale(lam) if scale else c)
+    return _sym.SymExpr(expr.basis, terms)
 
 
 @lru_cache(maxsize=None)

@@ -145,10 +145,6 @@ def _sym_sort_key(lam: IntegerPartition):
     return (lam.n, tuple(-p for p in lam.parts))
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _join_signed(pieces) -> str:
     """Join (coefficient, body) pairs with explicit magnitudes and signs."""
     out = []
@@ -164,8 +160,8 @@ def _join_signed(pieces) -> str:
 
 def _term_body(basis: str, key_str: str, empty: bool):
     if empty:
-        return lambda mag: _coeff_str(mag)
-    return lambda mag: f"{_coeff_str(mag)}*{basis}{{{key_str}}}"
+        return str
+    return lambda mag: f"{mag}*{basis}{{{key_str}}}"
 
 
 def format_ncsym(expr: NCSymExpr) -> str:
@@ -193,7 +189,7 @@ def _tensor_body(basis: str, left: SetPartition, right: SetPartition):
     def body(mag):
         if mag == 1 and lstr == "1":
             return f"1 (x) {rstr}"
-        return f"{_coeff_str(mag)}*{lstr} (x) {rstr}"
+        return f"{mag}*{lstr} (x) {rstr}"
 
     return body
 

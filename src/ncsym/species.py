@@ -4,10 +4,13 @@ Vector-space values are materialized only at concrete ground sets: an
 element is a sparse combination of partitions of one declared ground set in
 one of the m, p, x bases.  Products and coproducts are indexed by ordered
 decompositions of the ground set.  This module holds the only implementation
-of the coproduct component rules (`delta_key`) and of the splitting
-coefficients (`c_coefficient`).  The graded coproduct in `expressions`, and
-so `fock_coproduct`, is the standardized sum of these components over every
-ordered split of {1..n}; the e basis goes through p.
+of the product and coproduct component rules (`mu_key`, `delta_key`) and of
+the splitting coefficients (`c_coefficient`).  The graded product in
+`expressions` applies `mu_key` to the second key shifted past the first on
+m; the graded coproduct, and so `fock_coproduct`, is the standardized sum of
+the components over every ordered split of {1..n}.  e is not a species
+basis: its graded product concatenates keys and its coproduct pairs the
+restrictions at every split.
 """
 
 from __future__ import annotations
@@ -95,11 +98,18 @@ def _split_respecting(pi: SetPartition, s1: frozenset) -> bool:
     return all(set(blk) <= s1 or not (set(blk) & s1) for blk in pi.blocks)
 
 
-def _mu_key(basis: str, a: SetPartition, b: SetPartition):
+def mu_key(basis: str, a: SetPartition, b: SetPartition):
+    """Product of two basis elements on disjoint ground sets.
+
+    Yields (partition, weight) with weight one.  p and x: the disjoint union.
+    m: one partition per partial matching of the blocks of a with the blocks
+    of b, each matched pair merged into one block.  The matchings grow
+    factorially, so m honours the degree cap; p and x are uncapped.
+    """
     if basis in ("p", "x"):
         yield disjoint_union(a, b), 1
         return
-    # monomial rule: one coarse partition per partial matching of blocks
+    check_degree(a.size + b.size)
     la, lb = len(a.blocks), len(b.blocks)
     for k in range(min(la, lb) + 1):
         for asel in itertools.combinations(range(la), k):
@@ -123,7 +133,7 @@ def species_mu(a: SpeciesElement, b: SpeciesElement) -> SpeciesElement:
     terms = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
-            for key, w in _mu_key(a.basis, ka, kb):
+            for key, w in mu_key(a.basis, ka, kb):
                 terms[key] = terms.get(key, 0) + ca * cb * w
     return SpeciesElement(a.ground | b.ground, a.basis, terms)
 

@@ -2,9 +2,10 @@
 
 ``data/cli_golden.json`` holds argument lists with the exit code and the
 standard output recorded from an earlier build: basis changes over every
-pair in both the set partition and the integer partition forms, products,
-coproducts, the conjecture report and two inputs that must exit 2, in text
-and ``--json``.  A change that alters any of them fails here.
+pair in both the set partition and the integer partition forms, products
+(commutative, and noncommutative in m, e and mixed bases), coproducts, the
+conjecture report and three inputs that must exit 2, in text and
+``--json``.  A change that alters any of them fails here.
 """
 
 import json

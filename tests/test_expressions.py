@@ -28,6 +28,7 @@ from ncsym import (
     set_partitions,
     set_partitions_of_shape,
     tensor_convert,
+    tensor_product,
     x_coproduct_coefficient,
     x_e_expansion_coefficient,
     x_to_m_top,
@@ -89,8 +90,7 @@ def test_product():
     b = elt("p", "12/3")
     assert product(NCSymExpr.unit("p"), b) == b
     assert product(elt("x", "12"), elt("x", "1")) == elt("x", "12/3")
-    # monomial products route through p and come back exact; the noncommuting
-    # square of m{1} keeps each ordered pair once
+    # the noncommuting square of m{1} keeps each ordered pair once
     got = product(elt("m", "1"), elt("m", "1"))
     assert got == NCSymExpr("m", {sp_("12"): 1, sp_("1/2"): 1})
     from ncsym import NCPolynomial, expand_nc
@@ -100,6 +100,52 @@ def test_product():
     for sigma, c in got.terms.items():
         acc = acc + c * expand_nc("m", sigma, k)
     assert acc == expand_nc("m", sp_("1"), k) * expand_nc("m", sp_("1"), k)
+
+
+def _product_via_p(basis, k1, k2):
+    """The product of two keys through the power sums: convert both factors,
+    concatenate shifted keys, convert back."""
+    terms = {}
+    for s1, c1 in convert(NCSymExpr.element(basis, k1), "p").terms.items():
+        for s2, c2 in convert(NCSymExpr.element(basis, k2), "p").terms.items():
+            n = s1.size
+            key = SetPartition(s1.blocks + tuple(tuple(x + n for x in b) for b in s2.blocks))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return convert(NCSymExpr("p", terms), basis)
+
+
+def _keys_up_to(total):
+    for n1 in range(total + 1):
+        for n2 in range(total - n1 + 1):
+            for k1 in set_partitions(range(1, n1 + 1)):
+                for k2 in set_partitions(range(1, n2 + 1)):
+                    yield k1, k2
+
+
+def test_product_matches_p_route():
+    # m and e multiply by their own rules; the reference goes through p
+    for k1, k2 in _keys_up_to(6):
+        for basis in "me":
+            got = product(NCSymExpr.element(basis, k1), NCSymExpr.element(basis, k2))
+            assert got == _product_via_p(basis, k1, k2), (basis, k1, k2)
+
+
+def test_m_tensor_product_matches_p_route():
+    pieces = {}
+    for k1, k2 in _keys_up_to(6):
+        pieces[k1, k2] = _product_via_p("m", k1, k2).terms
+    legs = list(_keys_up_to(6))
+    for (a1, a2), (b1, b2) in itertools.product(legs, repeat=2):
+        if a1.size + a2.size + b1.size + b2.size > 6:
+            continue
+        got = tensor_product(
+            NCTensorExpr("m", {(a1, a2): 1}), NCTensorExpr("m", {(b1, b2): 1})
+        )
+        want = {}
+        for k1, c1 in pieces[a1, b1].items():
+            for k2, c2 in pieces[a2, b2].items():
+                want[k1, k2] = want.get((k1, k2), 0) + c1 * c2
+        assert got == NCTensorExpr("m", want), (a1, a2, b1, b2)
 
 
 def test_product_mixed_basis_converts_right_operand():
@@ -156,6 +202,14 @@ def test_coproduct_m_basis_round_trip():
         assert direct == via
 
 
+def test_e_coproduct_matches_p_route():
+    # e splits its keys directly; the reference splits in p
+    for n in range(7):
+        for pi in set_partitions(range(1, n + 1)):
+            e = NCSymExpr.element("e", pi)
+            assert coproduct(e) == tensor_convert(coproduct(convert(e, "p")), "e"), pi
+
+
 def test_omega():
     assert omega(elt("p", "13/2")) == elt("p", "13/2") * -1
     for basis in "mpex":
@@ -198,6 +252,13 @@ def test_rho():
         from ncsym import bracket
 
         assert rho(NCSymExpr.element("x", bracket(lam))) == SymExpr("x", {lam: 1})
+    for n in range(8):
+        for pi in set_partitions(range(1, n + 1)):
+            image = rho(NCSymExpr.element("x", pi))
+            assert image == SymExpr("x", {pi.shape(): 1})
+            if n <= 5:  # the projection of the power sum expansion agrees
+                via_p = rho(convert(NCSymExpr.element("x", pi), "p"))
+                assert convert_sym(image, "p") == via_p
 
 
 def test_rho_is_algebra_morphism():
@@ -368,6 +429,29 @@ def test_oracle_routes_stay_independent():
         "_key_from_p",
         "convert",
     }
+
+
+def test_hopf_operations_use_their_own_rules():
+    # p is a hub for convert only: no product, coproduct or projection
+    # detours through another basis, and the m product rule lives in species
+    conversions = {"convert", "_key_convert", "_key_to_p", "_key_from_p", "convert_sym"}
+    for name in ("_key_product", "tensor_product", "_key_coproduct", "rho"):
+        assert not _reachable_names(expressions, name) & conversions, name
+    assert "mu_key" in _reachable_names(expressions, "_key_product")
+    assert "permutations" not in _reachable_names(expressions, "_key_product")
+    # product converts only its right operand
+    tree = next(
+        node
+        for node in ast.parse(Path(expressions.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "product"
+    )
+    calls = [
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert calls.count("convert") == 1
+    assert not set(calls) & (conversions - {"convert"})
 
 
 def _all_fractions(values):

@@ -203,7 +203,14 @@ def test_cli_degree_cap(monkeypatch, capsys):
         ["convert", "x{1,2,3,4}", "--to", "m"],
         ["coproduct", "p{1/2/3/4}", "--split", "1,2"],
         ["species", "delta", "p{1/2/3/4}", "--split", "1,2"],
+        ["species", "mu", "m{1/2}", "m{3/4}"],
+        ["product", "m{1,2}", "m{1/2}"],
     ):
         assert main(argv) == 2
         assert "cap" in capsys.readouterr().err
+    # the multiplicative bases concatenate keys and stay uncapped
+    for basis in "pxe":
+        assert main(["product", f"{basis}{{1,2}}", f"{basis}{{1/2}}"]) == 0
+        assert capsys.readouterr().out == f"1*{basis}{{1,2/3/4}}\n"
+    assert main(["species", "mu", "x{1/2}", "x{3/4}"]) == 0
     assert main(["check", "--suite", "mobius", "--max-n", "5"]) == 2

@@ -128,7 +128,8 @@ def test_fock_coproduct_examples():
 
 
 def test_fock_bridge():
-    # the coproduct in another basis, converted back, is the reference route
+    # the product and coproduct in another basis, converted back, are the
+    # reference routes
     for basis, other in (("m", "p"), ("p", "x"), ("x", "p")):
         for n in range(4):
             for pi in set_partitions(range(1, n + 1)):
@@ -139,9 +140,9 @@ def test_fock_bridge():
                     for sigma in set_partitions(range(1, m + 1)):
                         w = SpeciesElement.element(basis, sigma)
                         got = fock_product(v, w)
-                        want = product(
-                            NCSymExpr.element(basis, pi),
-                            NCSymExpr.element(basis, sigma),
+                        want = convert(
+                            product(via, convert(NCSymExpr.element(basis, sigma), other)),
+                            basis,
                         )
                         assert dict(got.terms) == want.terms
 
