@@ -1,9 +1,20 @@
 """Named verification suites over the library's structural laws.
 
-Each suite runs a family of exhaustive small-degree law checks and returns
-one result per property.  The CLI ``check`` subcommand and the test suite
-both drive these; results are deterministic, with randomized relabeling
-checks seeded explicitly.
+``PROPERTIES`` is one ordered table: each property is a generator that takes
+the degree bound and the suite run and yields one description per failure,
+registered with its suite, its name, its detail and an optional degree cap.
+One runner lowers the degree bound to each cap and builds every result row:
+``N failure(s), first: ...`` on failure, else the detail, a template in
+``{n}`` (the bound the property ran at) and ``{k}`` (the oracle's variable
+count) or a function of the ``run.observed`` value the property set.  A
+suite run holds one ``random.Random(seed)``, consumed by its properties in
+table order; the oracle's run also shares its monomial expansions.
+
+To add a property, register a generator in its suite's section::
+
+    @_property("lattice", "what it asserts", detail="n <= {n}", cap=5)
+    def _name(max_n, run):
+        yield "description of one failure"
 """
 
 from __future__ import annotations
@@ -12,8 +23,9 @@ import itertools
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, partial
+from math import factorial, prod
+from types import SimpleNamespace
 
 from . import graphs, monomials, species
 from .expressions import (
@@ -55,14 +67,36 @@ from .sym import omega_sym
 
 CheckResult = namedtuple("CheckResult", ["name", "passed", "detail"])
 
+Property = namedtuple("Property", ["suite", "name", "check", "detail", "cap"])
+
+PROPERTIES = []
+
 DEFAULT_SEED = 20060413
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+
+_BASES = ("m", "p", "e", "x")
+
+
+def _property(suite: str, name: str, detail="", cap=None):
+    """Append the decorated generator to ``PROPERTIES``."""
+
+    def register(check):
+        PROPERTIES.append(Property(suite, name, check, detail, cap))
+        return check
+
+    return register
 
 
 @lru_cache(maxsize=None)
 def _parts(n: int) -> tuple:
     return tuple(set_partitions(range(1, n + 1)))
+
+
+def _keys(max_n: int, start: int = 0):
+    """Every standard key of degree start..max_n."""
+    for n in range(start, max_n + 1):
+        yield from _parts(n)
 
 
 def _key_pairs(max_total: int):
@@ -86,10 +120,13 @@ def _sp(text: str) -> SetPartition:
     return SetPartition.parse(text)
 
 
-def _result(name: str, failures: list, detail: str = "") -> CheckResult:
-    if failures:
-        return CheckResult(name, False, f"{len(failures)} failure(s), first: {failures[0]}")
-    return CheckResult(name, True, detail)
+def _species_elt(basis: str, pi: SetPartition) -> species.SpeciesElement:
+    return species.SpeciesElement.element(basis, pi)
+
+
+def _subsets(elems):
+    for r in range(len(elems) + 1):
+        yield from itertools.combinations(elems, r)
 
 
 def bell_triangle(upto: int) -> list:
@@ -106,194 +143,143 @@ def bell_triangle(upto: int) -> list:
 
 # ---------------------------------------------------------------- mobius
 
-def run_mobius(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    results = []
+@_property("mobius", "mobius closed form satisfies the defining recursion",
+           detail="all intervals up to n={n}")
+def _mobius_recursion(max_n, run):
+    for upper in _keys(max_n):
+        for lower in refinements(upper):
+            total = sum(mobius(mid, upper) for mid in interval(lower, upper))
+            if total != (1 if lower == upper else 0):
+                yield f"sum over [{lower}, {upper}] = {total}"
 
-    failures = []
-    for n in range(max_n + 1):
-        for upper in _parts(n):
-            for lower in refinements(upper):
-                total = sum(mobius(mid, upper) for mid in interval(lower, upper))
-                expected = 1 if lower == upper else 0
-                if total != expected:
-                    failures.append(f"sum over [{lower}, {upper}] = {total}")
-    results.append(
-        _result(
-            "mobius closed form satisfies the defining recursion",
-            failures,
-            f"all intervals up to n={max_n}",
-        )
-    )
 
-    failures = []
-    for n in range(1, min(max_n, 5) + 1):
-        for upper in _parts(n):
-            for lower in refinements(upper):
-                prod_val = 1
-                for blk in upper.blocks:
-                    prod_val *= mobius_to_top(lower.restrict(blk).standardize())
-                if prod_val != mobius(lower, upper):
-                    failures.append(f"mu({lower},{upper})")
-    results.append(
-        _result("mobius factorizes over the blocks of the coarser partition", failures)
-    )
+@_property("mobius", "mobius factorizes over the blocks of the coarser partition", cap=5)
+def _mobius_factorizes(max_n, run):
+    for upper in _keys(max_n, 1):
+        for lower in refinements(upper):
+            blocks = (lower.restrict(blk).standardize() for blk in upper.blocks)
+            if prod(mobius_to_top(b) for b in blocks) != mobius(lower, upper):
+                yield f"mu({lower},{upper})"
 
-    ok = (
-        mobius(_sp("1/3/24"), _sp("13/24")) == -1
-        and mobius(_sp("1/3/24"), _sp("1234")) == 2
-        and mobius_to_top(_sp("1/3/24")) == 2
-        and mobius_to_top(_sp("1/2/3/4")) == -6
+
+@_property("mobius", "mobius worked values")
+def _mobius_worked_values(max_n, run):
+    got = (
+        mobius(_sp("1/3/24"), _sp("13/24")),
+        mobius(_sp("1/3/24"), _sp("1234")),
+        mobius_to_top(_sp("1/3/24")),
+        mobius_to_top(_sp("1/2/3/4")),
     )
-    results.append(CheckResult("mobius worked values", ok, ""))
-    return results
+    if got != (-1, 2, 2, -6):
+        yield f"{got} != (-1, 2, 2, -6)"
 
 
 # ---------------------------------------------------------------- lattice
 
-def run_lattice(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    results = []
+@_property("lattice", "enumeration counts match the Bell triangle",
+           detail=lambda counts: f"counts {counts}", cap=8)
+def _bell_counts(max_n, run):
+    upto = max(max_n, 0)
+    run.observed = [len(_parts(n)) for n in range(upto + 1)]
+    if run.observed != bell_triangle(upto) or run.observed != BELL[: upto + 1]:
+        yield f"counts {run.observed}"
 
-    upto = min(max(max_n, 0), 8)
-    counts = [len(_parts(n)) for n in range(upto + 1)]
-    triangle = bell_triangle(upto)
-    results.append(
-        CheckResult(
-            "enumeration counts match the Bell triangle",
-            counts == triangle and counts == BELL[: upto + 1],
-            f"counts {counts}",
-        )
-    )
 
-    failures = []
-    for n in range(2, min(max_n, 5) + 1):
+@_property("lattice", "meet and join satisfy the lattice laws", cap=5)
+def _lattice_laws(max_n, run):
+    for n in range(2, max_n + 1):
         parts = _parts(n)
         index = {p: i for i, p in enumerate(parts)}
         meets = [[index[meet(a, b)] for b in parts] for a in parts]
         joins = [[index[join(a, b)] for b in parts] for a in parts]
-        size = len(parts)
-        for i in range(size):
-            for j in range(size):
-                if meets[i][j] != meets[j][i] or joins[i][j] != joins[j][i]:
-                    failures.append(f"commutativity at n={n}")
-                if meets[i][joins[i][j]] != i or joins[i][meets[i][j]] != i:
-                    failures.append(f"absorption at n={n}")
-                for k in range(size):
-                    if meets[meets[i][j]][k] != meets[i][meets[j][k]]:
-                        failures.append(f"meet associativity at n={n}")
-                    if joins[joins[i][j]][k] != joins[i][joins[j][k]]:
-                        failures.append(f"join associativity at n={n}")
-            if failures:
-                break
-        if failures:
-            break
-    results.append(_result("meet and join satisfy the lattice laws", failures))
+        for i, j in itertools.product(range(len(parts)), repeat=2):
+            if meets[i][j] != meets[j][i] or joins[i][j] != joins[j][i]:
+                yield f"commutativity at n={n}"
+            if meets[i][joins[i][j]] != i or joins[i][meets[i][j]] != i:
+                yield f"absorption at n={n}"
+            for k in range(len(parts)):
+                if meets[meets[i][j]][k] != meets[i][meets[j][k]]:
+                    yield f"meet associativity at n={n}"
+                if joins[joins[i][j]][k] != joins[i][joins[j][k]]:
+                    yield f"join associativity at n={n}"
 
-    failures = []
-    for n in range(min(max_n, 5) + 1):
+
+@_property("lattice", "top, bottom, and idempotence identities", cap=5)
+def _lattice_identities(max_n, run):
+    for n in range(max_n + 1):
         top = _top(n)
         bottom = SetPartition.singletons(range(1, n + 1))
         for pi in _parts(n):
             if meet(pi, top) != pi or join(pi, bottom) != pi:
-                failures.append(str(pi))
+                yield str(pi)
             if meet(pi, pi) != pi or join(pi, pi) != pi:
-                failures.append(str(pi))
-    results.append(_result("top, bottom, and idempotence identities", failures))
+                yield str(pi)
 
-    failures = []
-    for n in range(min(max_n, 4) + 1):
+
+@_property("lattice", "refinement and coarsening streams match the brute-force predicate",
+           cap=4)
+def _lattice_streams(max_n, run):
+    for n in range(max_n + 1):
         for pi in _parts(n):
-            brute_ref = {s for s in _parts(n) if is_refinement(s, pi)}
-            if set(refinements(pi)) != brute_ref:
-                failures.append(f"refinements({pi})")
-            brute_coars = {s for s in _parts(n) if is_refinement(pi, s)}
-            if set(coarsenings(pi)) != brute_coars:
-                failures.append(f"coarsenings({pi})")
-    results.append(
-        _result("refinement and coarsening streams match the brute-force predicate", failures)
-    )
-    return results
+            if set(refinements(pi)) != {s for s in _parts(n) if is_refinement(s, pi)}:
+                yield f"refinements({pi})"
+            if set(coarsenings(pi)) != {s for s in _parts(n) if is_refinement(pi, s)}:
+                yield f"coarsenings({pi})"
 
 
 # ---------------------------------------------------------------- bases
 
-def run_bases(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    results = []
-    bases = ("m", "p", "e", "x")
+@_property("bases", "basis round-trips are exact",
+           detail="all 16 routes, all elements up to n={n}")
+def _basis_round_trips(max_n, run):
+    for pi in _keys(max_n):
+        for b1 in _BASES:
+            start = _elt(b1, pi)
+            for b2 in _BASES:
+                if convert(convert(start, b2), b1) != start:
+                    yield f"{b1}->{b2}->{b1} at {pi}"
 
-    failures = []
-    for n in range(max_n + 1):
-        for pi in _parts(n):
-            for b1 in bases:
-                start = _elt(b1, pi)
-                for b2 in bases:
-                    back = convert(convert(start, b2), b1)
-                    if back != start:
-                        failures.append(f"{b1}->{b2}->{b1} at {pi}")
-    results.append(
-        _result(
-            "basis round-trips are exact",
-            failures,
-            f"all 16 routes, all elements up to n={max_n}",
-        )
-    )
 
+@_property("bases", "worked conversion values")
+def _worked_conversions(max_n, run):
     x132 = _elt("x", _sp("13/2"))
-    ok = (
-        convert(x132, "p")
-        == NCSymExpr("p", {_sp("13/2"): 1, _sp("1/2/3"): -1})
-        and convert(x132, "m")
-        == NCSymExpr("m", {_sp("1/2/3"): -1, _sp("12/3"): -1, _sp("1/23"): -1})
-        and convert(_elt("x", _sp("12")), "e") == NCSymExpr("e", {_sp("12"): -1})
-    )
-    results.append(CheckResult("worked conversion values", ok, ""))
+    if convert(x132, "p") != NCSymExpr("p", {_sp("13/2"): 1, _sp("1/2/3"): -1}):
+        yield "x{13/2} in p"
+    if convert(x132, "m") != NCSymExpr(
+        "m", {_sp("1/2/3"): -1, _sp("12/3"): -1, _sp("1/23"): -1}
+    ):
+        yield "x{13/2} in m"
+    if convert(_elt("x", _sp("12")), "e") != NCSymExpr("e", {_sp("12"): -1}):
+        yield "x{12} in e"
 
-    failures = []
+
+@_property("bases", "one-block extra element has the signed factorial power sum expansion")
+def _x_top_in_p(max_n, run):
     for n in range(1, max_n + 1):
         xp = convert(_elt("x", _top(n)), "p")
         for sigma in _parts(n):
             l = len(sigma.blocks)
-            expected = Fraction((-1) ** (l - 1) * factorial(l - 1))
-            if xp.coefficient(sigma) != expected:
-                failures.append(f"n={n}, {sigma}")
-    results.append(
-        _result(
-            "one-block extra element has the signed factorial power sum expansion",
-            failures,
-        )
-    )
-    return results
+            if xp.coefficient(sigma) != Fraction((-1) ** (l - 1) * factorial(l - 1)):
+                yield f"n={n}, {sigma}"
 
 
 # ---------------------------------------------------------------- hopf axioms
 
-def _species_elt(basis: str, pi: SetPartition) -> species.SpeciesElement:
-    return species.SpeciesElement.element(basis, pi)
+_SPECIES_BASES = ("m", "p", "x")
 
 
-def _subsets(elems):
-    for r in range(len(elems) + 1):
-        yield from itertools.combinations(elems, r)
-
-
-def run_hopf_axioms(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    results = []
-    rng = random.Random(seed)
-    species_bases = ("m", "p", "x")
-
-    failures = []
-    for n in range(min(max_n, 5) + 1):
+@_property("hopf-axioms", "product naturality under relabeling", cap=5)
+def _product_naturality(max_n, run):
+    rng = run.rng
+    for n in range(max_n + 1):
         ground = list(range(1, n + 1))
         for _ in range(8):
-            codomain = rng.sample(range(1, 60), n)
-            f = dict(zip(ground, codomain))
-            r = rng.randrange(n + 1)
-            s1 = set(rng.sample(ground, r))
+            f = dict(zip(ground, rng.sample(range(1, 60), n)))
+            s1 = set(rng.sample(ground, rng.randrange(n + 1)))
             s2 = [x for x in ground if x not in s1]
-            parts1 = list(set_partitions(s1))
-            parts2 = list(set_partitions(s2))
-            a_key = rng.choice(parts1)
-            b_key = rng.choice(parts2)
-            for basis in species_bases:
+            a_key = rng.choice(list(set_partitions(s1)))
+            b_key = rng.choice(list(set_partitions(s2)))
+            for basis in _SPECIES_BASES:
                 a = _species_elt(basis, a_key)
                 b = _species_elt(basis, b_key)
                 lhs = species.relabel(f, species.species_mu(a, b))
@@ -302,178 +288,137 @@ def run_hopf_axioms(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
                     species.relabel({x: f[x] for x in s2}, b),
                 )
                 if lhs != rhs:
-                    failures.append(f"basis {basis}, n={n}")
-    results.append(_result("product naturality under relabeling", failures))
+                    yield f"basis {basis}, n={n}"
 
-    failures = []
-    for n in range(min(max_n, 5) + 1):
+
+@_property("hopf-axioms", "product associativity over ordered decompositions", cap=5)
+def _product_associativity(max_n, run):
+    for n in range(max_n + 1):
         ground = list(range(1, n + 1))
         for s1 in _subsets(ground):
             rest1 = [x for x in ground if x not in set(s1)]
             for s2 in _subsets(rest1):
                 s3 = [x for x in rest1 if x not in set(s2)]
-                for basis in species_bases:
-                    for a_key in set_partitions(s1):
-                        for b_key in set_partitions(s2):
-                            for c_key in set_partitions(s3):
-                                a = _species_elt(basis, a_key)
-                                b = _species_elt(basis, b_key)
-                                c = _species_elt(basis, c_key)
-                                lhs = species.species_mu(species.species_mu(a, b), c)
-                                rhs = species.species_mu(a, species.species_mu(b, c))
-                                if lhs != rhs:
-                                    failures.append(
-                                        f"basis {basis}: ({a_key})({b_key})({c_key})"
-                                    )
-    results.append(_result("product associativity over ordered decompositions", failures))
+                keys = [list(set_partitions(s)) for s in (s1, s2, s3)]
+                for basis in _SPECIES_BASES:
+                    for a_key, b_key, c_key in itertools.product(*keys):
+                        a, b, c = (_species_elt(basis, key) for key in (a_key, b_key, c_key))
+                        lhs = species.species_mu(species.species_mu(a, b), c)
+                        if lhs != species.species_mu(a, species.species_mu(b, c)):
+                            yield f"basis {basis}: ({a_key})({b_key})({c_key})"
 
-    failures = []
-    for n in range(min(max_n, 5) + 1):
-        for basis in species_bases:
+
+@_property("hopf-axioms", "unit laws", cap=5)
+def _unit_laws(max_n, run):
+    for n in range(max_n + 1):
+        for basis in _SPECIES_BASES:
             unit = species.SpeciesElement.unit(basis)
             for pi in _parts(n):
                 v = _species_elt(basis, pi)
                 if species.species_mu(unit, v) != v or species.species_mu(v, unit) != v:
-                    failures.append(f"basis {basis}, {pi}")
-    results.append(_result("unit laws", failures))
+                    yield f"basis {basis}, {pi}"
 
-    failures = []
-    for n in range(min(max_n, 4) + 1):
+
+@_property("hopf-axioms", "product and coproduct compatibility diagram", cap=4)
+def _compatibility_diagram(max_n, run):
+    for n in range(max_n + 1):
         ground = list(range(1, n + 1))
         gset = frozenset(ground)
-        for s1 in _subsets(ground):
-            s1 = frozenset(s1)
-            s2 = gset - s1
-            for t1 in _subsets(ground):
-                t1 = frozenset(t1)
-                t2 = gset - t1
-                i_set, j_set = s1 & t1, s1 & t2
-                k_set, l_set = s2 & t1, s2 & t2
-                for basis in ("m", "p"):
-                    for a_key in set_partitions(s1):
-                        for b_key in set_partitions(s2):
-                            a = _species_elt(basis, a_key)
-                            b = _species_elt(basis, b_key)
-                            path1 = species.species_delta(
-                                species.species_mu(a, b), t1, t2
-                            ).terms
-                            acc = {}
-                            da = species.species_delta(a, i_set, j_set).terms
-                            db = species.species_delta(b, k_set, l_set).terms
-                            for (ai, aj), ca in da.items():
-                                for (bk, bl), cb in db.items():
-                                    left = species.species_mu(
-                                        _species_elt(basis, ai), _species_elt(basis, bk)
-                                    )
-                                    right = species.species_mu(
-                                        _species_elt(basis, aj), _species_elt(basis, bl)
-                                    )
-                                    for kl, cl in left.terms.items():
-                                        for kr, cr in right.terms.items():
-                                            key = (kl, kr)
-                                            acc[key] = acc.get(key, 0) + ca * cb * cl * cr
-                            acc = {k: v for k, v in acc.items() if v}
-                            if acc != path1:
-                                failures.append(
-                                    f"basis {basis}, ({sorted(s1)},{sorted(t1)}), a={a_key}, b={b_key}"
-                                )
-    results.append(_result("product and coproduct compatibility diagram", failures))
+        for s1, t1 in itertools.product(map(frozenset, _subsets(ground)), repeat=2):
+            s2, t2 = gset - s1, gset - t1
+            for basis in ("m", "p"):
+                for a_key in set_partitions(s1):
+                    for b_key in set_partitions(s2):
+                        a = _species_elt(basis, a_key)
+                        b = _species_elt(basis, b_key)
+                        path1 = species.species_delta(species.species_mu(a, b), t1, t2)
+                        acc = {}
+                        da = species.species_delta(a, s1 & t1, s1 & t2).terms
+                        db = species.species_delta(b, s2 & t1, s2 & t2).terms
+                        for ((ai, aj), ca), ((bk, bl), cb) in itertools.product(
+                            da.items(), db.items()
+                        ):
+                            left = species.species_mu(
+                                _species_elt(basis, ai), _species_elt(basis, bk)
+                            )
+                            right = species.species_mu(
+                                _species_elt(basis, aj), _species_elt(basis, bl)
+                            )
+                            for kl, cl in left.terms.items():
+                                for kr, cr in right.terms.items():
+                                    acc[kl, kr] = acc.get((kl, kr), 0) + ca * cb * cl * cr
+                        if {k: v for k, v in acc.items() if v} != path1.terms:
+                            yield (
+                                f"basis {basis}, ({sorted(s1)},{sorted(t1)}),"
+                                f" a={a_key}, b={b_key}"
+                            )
 
-    failures = []
+
+@_property("hopf-axioms", "coassociativity of the graded coproduct")
+def _coassociativity(max_n, run):
     for basis in ("p", "x"):
-        for n in range(max_n + 1):
-            for pi in _parts(n):
-                t = coproduct(_elt(basis, pi))
-                lhs, rhs = {}, {}
-                for (a, b), c in t.terms.items():
-                    for (a1, a2), d in coproduct(_elt(basis, a)).terms.items():
-                        key = (a1, a2, b)
-                        lhs[key] = lhs.get(key, 0) + c * d
-                    for (b1, b2), d in coproduct(_elt(basis, b)).terms.items():
-                        key = (a, b1, b2)
-                        rhs[key] = rhs.get(key, 0) + c * d
-                lhs = {k: v for k, v in lhs.items() if v}
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    failures.append(f"basis {basis}, {pi}")
-    results.append(_result("coassociativity of the graded coproduct", failures))
+        for pi in _keys(max_n):
+            lhs, rhs = {}, {}
+            for (a, b), c in coproduct(_elt(basis, pi)).terms.items():
+                for (a1, a2), d in coproduct(_elt(basis, a)).terms.items():
+                    lhs[a1, a2, b] = lhs.get((a1, a2, b), 0) + c * d
+                for (b1, b2), d in coproduct(_elt(basis, b)).terms.items():
+                    rhs[a, b1, b2] = rhs.get((a, b1, b2), 0) + c * d
+            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                yield f"basis {basis}, {pi}"
 
-    failures = []
-    for basis in ("m", "p", "e", "x"):
+
+@_property("hopf-axioms", "coproduct is an algebra morphism",
+           detail="all four bases, total degree <= {n}")
+def _coproduct_morphism(max_n, run):
+    for basis in _BASES:
         for pi, sigma in _key_pairs(max_n):
             a = _elt(basis, pi)
             b = _elt(basis, sigma)
             if coproduct(product(a, b)) != tensor_product(coproduct(a), coproduct(b)):
-                failures.append(f"basis {basis}, {pi} * {sigma}")
-    results.append(
-        _result(
-            "coproduct is an algebra morphism",
-            failures,
-            f"all four bases, total degree <= {max_n}",
-        )
-    )
-    return results
+                yield f"basis {basis}, {pi} * {sigma}"
 
 
 # ---------------------------------------------------------------- coproduct-x
 
-def _x_coproduct_via_p(pi: SetPartition):
-    """Independent route: convert to p, split there, convert the legs back."""
-    return tensor_convert(coproduct(convert(_elt("x", pi), "p")), "x")
+@_property("coproduct-x", "closed-form x coproduct equals the power sum route",
+           detail="all keys up to n={n}")
+def _x_coproduct_routes(max_n, run):
+    for pi in _keys(max_n):
+        # the independent route converts to p, splits there and converts back
+        via_p = tensor_convert(coproduct(convert(_elt("x", pi), "p")), "x")
+        if coproduct(_elt("x", pi)) != via_p:
+            yield str(pi)
 
 
-def run_coproduct_x(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    results = []
-
-    failures = []
-    for n in range(max_n + 1):
-        for pi in _parts(n):
-            if coproduct(_elt("x", pi)) != _x_coproduct_via_p(pi):
-                failures.append(str(pi))
-    results.append(
-        _result(
-            "closed-form x coproduct equals the power sum route",
-            failures,
-            f"all keys up to n={max_n}",
-        )
-    )
-
-    failures = []
+@_property("coproduct-x", "splitting coefficients match the brute-force expansion",
+           detail="every tensor pair up to n={n}")
+def _x_top_splitting(max_n, run):
     for n in range(max_n + 1):
         brute = coproduct(_elt("x", _top(n)))
         for a in range(n + 1):
-            for sigma in _parts(a):
-                for tau in _parts(n - a):
-                    expected = brute.coefficient(sigma, tau)
-                    if x_top_coproduct_coefficient(n, sigma, tau) != expected:
-                        failures.append(f"n={n}, ({sigma}, {tau})")
-                    if x_coproduct_coefficient(_top(n), sigma, tau) != expected:
-                        failures.append(f"general route, n={n}, ({sigma}, {tau})")
-    results.append(
-        _result(
-            "splitting coefficients match the brute-force expansion",
-            failures,
-            f"every tensor pair up to n={max_n}",
-        )
-    )
+            for sigma, tau in itertools.product(_parts(a), _parts(n - a)):
+                expected = brute.coefficient(sigma, tau)
+                if x_top_coproduct_coefficient(n, sigma, tau) != expected:
+                    yield f"n={n}, ({sigma}, {tau})"
+                if x_coproduct_coefficient(_top(n), sigma, tau) != expected:
+                    yield f"general route, n={n}, ({sigma}, {tau})"
 
-    failures = []
-    for n in range(min(max_n, 4) + 1):
-        for pi in _parts(n):
-            brute = coproduct(_elt("x", pi))
-            for a in range(n + 1):
-                for sigma in _parts(a):
-                    for tau in _parts(n - a):
-                        if x_coproduct_coefficient(pi, sigma, tau) != brute.coefficient(
-                            sigma, tau
-                        ):
-                            failures.append(f"{pi}: ({sigma}, {tau})")
-    results.append(
-        _result("per-coefficient closed form agrees for every key, not just one block", failures)
-    )
 
-    failures = []
-    for n in range(min(max_n, 4) + 1):
+@_property("coproduct-x",
+           "per-coefficient closed form agrees for every key, not just one block", cap=4)
+def _x_splitting_every_key(max_n, run):
+    for pi in _keys(max_n):
+        brute = coproduct(_elt("x", pi))
+        for a in range(pi.size + 1):
+            for sigma, tau in itertools.product(_parts(a), _parts(pi.size - a)):
+                if x_coproduct_coefficient(pi, sigma, tau) != brute.coefficient(sigma, tau):
+                    yield f"{pi}: ({sigma}, {tau})"
+
+
+@_property("coproduct-x", "species x coproduct equals the Möbius expansion route", cap=4)
+def _species_x_coproduct(max_n, run):
+    for n in range(max_n + 1):
         ground = list(range(1, n + 1))
         for chosen in _subsets(ground):
             s1 = frozenset(chosen)
@@ -481,64 +426,45 @@ def run_coproduct_x(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
             for pi in _parts(n):
                 direct = species.species_delta(_species_elt("x", pi), s1, s2)
                 acc = {}
-                for d, w in ((d, mobius(d, pi)) for d in refinements(pi)):
-                    if not all(
-                        set(blk) <= s1 or not (set(blk) & s1) for blk in d.blocks
-                    ):
+                for d in refinements(pi):
+                    w = mobius(d, pi)
+                    if not all(set(blk) <= s1 or not (set(blk) & s1) for blk in d.blocks):
                         continue
-                    d1, d2 = d.restrict(s1), d.restrict(s2)
-                    for b in refinements(d1):
-                        for c in refinements(d2):
-                            key = (b, c)
-                            acc[key] = acc.get(key, 0) + w
-                acc = {k: Fraction(v) for k, v in acc.items() if v}
-                if acc != direct.terms:
-                    failures.append(f"{pi} at split {sorted(s1)}")
-    results.append(
-        _result("species x coproduct equals the Möbius expansion route", failures)
-    )
-    return results
+                    for key in itertools.product(
+                        refinements(d.restrict(s1)), refinements(d.restrict(s2))
+                    ):
+                        acc[key] = acc.get(key, 0) + w
+                if {k: Fraction(v) for k, v in acc.items() if v} != direct.terms:
+                    yield f"{pi} at split {sorted(s1)}"
 
 
 # ---------------------------------------------------------------- x-to-m
 
-def run_x_to_m(max_n: int = 6, seed: int = DEFAULT_SEED) -> list:
-    results = []
-
-    failures = []
+@_property("x-to-m", "orientation-count route equals the Möbius inversion route",
+           detail="n <= {n}")
+def _x_to_m_routes(max_n, run):
     for n in range(1, max_n + 1):
         if x_to_m_top(n) != convert(_elt("x", _top(n)), "m"):
-            failures.append(f"n={n}")
-    results.append(
-        _result(
-            "orientation-count route equals the Möbius inversion route",
-            failures,
-            f"n <= {max_n}",
-        )
-    )
+            yield f"n={n}"
 
-    cap = min(max_n, graphs.ENUMERATION_VERTEX_CAP - 1, 6)
-    failures = []
-    for n in range(1, cap + 1):
-        for sigma in _parts(n):
-            counts = {
-                v: graphs.count_acyclic_unique_sink_by_enumeration(sigma, v)
-                for v in range(1, n + 1)
-            }
-            if len(set(counts.values())) != 1:
-                failures.append(f"{sigma}: {counts}")
-            if counts[1] != graphs.count_acyclic_unique_sink(sigma, 1):
-                failures.append(f"backend mismatch at {sigma}")
-    results.append(
-        _result(
-            "unique-sink counts are sink-independent and agree across backends",
-            failures,
-            f"n <= {cap}",
-        )
-    )
 
-    failures = []
-    for n in range(min(max_n, 6) + 1):
+@_property("x-to-m", "unique-sink counts are sink-independent and agree across backends",
+           detail="n <= {n}", cap=min(graphs.ENUMERATION_VERTEX_CAP - 1, 6))
+def _unique_sink_counts(max_n, run):
+    for sigma in _keys(max_n, 1):
+        counts = {
+            v: graphs.count_acyclic_unique_sink_by_enumeration(sigma, v)
+            for v in range(1, sigma.size + 1)
+        }
+        if len(set(counts.values())) != 1:
+            yield f"{sigma}: {counts}"
+        if counts[1] != graphs.count_acyclic_unique_sink(sigma, 1):
+            yield f"backend mismatch at {sigma}"
+
+
+@_property("x-to-m", "stable partitions are exactly the refinements", cap=6)
+def _stable_partitions(max_n, run):
+    for n in range(max_n + 1):
         owners = {
             tau: {x: i for i, blk in enumerate(tau.blocks) for x in blk}
             for tau in _parts(n)
@@ -546,143 +472,120 @@ def run_x_to_m(max_n: int = 6, seed: int = DEFAULT_SEED) -> list:
         for sigma in _parts(n):
             graph = graphs.MultipartiteGraph(sigma)
             edges = graph.edges()
-            stable = set(graphs.stable_partitions(graph))
             brute = {
                 tau
                 for tau in _parts(n)
                 if all(owners[tau][i] != owners[tau][j] for i, j in edges)
             }
-            if stable != brute:
-                failures.append(str(sigma))
-    results.append(_result("stable partitions are exactly the refinements", failures))
+            if set(graphs.stable_partitions(graph)) != brute:
+                yield str(sigma)
 
-    failures = []
-    for n in range(min(max_n, 5) + 1):
-        for sigma in _parts(n):
-            graph = graphs.MultipartiteGraph(sigma)
-            chi = graphs.chromatic_polynomial(graph)
-            for k in range(1, 5):
-                if chi.evaluate(k) != graphs.count_proper_colorings(graph, k):
-                    failures.append(f"{sigma} at k={k}")
-    results.append(
-        _result("chromatic polynomial values match brute-force coloring counts", failures)
-    )
-    return results
+
+@_property("x-to-m", "chromatic polynomial values match brute-force coloring counts", cap=5)
+def _chromatic_values(max_n, run):
+    for sigma in _keys(max_n):
+        graph = graphs.MultipartiteGraph(sigma)
+        chi = graphs.chromatic_polynomial(graph)
+        for k in range(1, 5):
+            if chi.evaluate(k) != graphs.count_proper_colorings(graph, k):
+                yield f"{sigma} at k={k}"
 
 
 # ---------------------------------------------------------------- omega
 
-def run_omega(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    results = []
-    rng = random.Random(seed)
+@_property("omega", "omega is an involution")
+def _omega_involution(max_n, run):
+    for basis in _BASES:
+        for pi in _keys(max_n):
+            e = _elt(basis, pi)
+            if omega(omega(e)) != e:
+                yield f"basis {basis}, {pi}"
 
-    failures = []
-    for basis in ("m", "p", "e", "x"):
-        for n in range(max_n + 1):
-            for pi in _parts(n):
-                e = _elt(basis, pi)
-                if omega(omega(e)) != e:
-                    failures.append(f"basis {basis}, {pi}")
-    results.append(_result("omega is an involution", failures))
 
-    failures = []
+@_property("omega", "omega is an algebra morphism")
+def _omega_morphism(max_n, run):
     for pi, sigma in _key_pairs(max_n):
         a, b = _elt("p", pi), _elt("p", sigma)
         if omega(product(a, b)) != product(omega(a), omega(b)):
-            failures.append(f"{pi} * {sigma}")
-    results.append(_result("omega is an algebra morphism", failures))
+            yield f"{pi} * {sigma}"
 
-    failures = []
+
+@_property("omega", "omega of the one-block extra element has the factorial expansion")
+def _omega_x_top(max_n, run):
     for n in range(1, max_n + 1):
         w = convert(omega(_elt("x", _top(n))), "p")
-        sign = (-1) ** (n - 1)
         for sigma in _parts(n):
-            expected = Fraction(sign * factorial(len(sigma.blocks) - 1))
+            expected = Fraction((-1) ** (n - 1) * factorial(len(sigma.blocks) - 1))
             if w.coefficient(sigma) != expected:
-                failures.append(f"n={n}, {sigma}")
-    results.append(
-        _result("omega of the one-block extra element has the factorial expansion", failures)
-    )
+                yield f"n={n}, {sigma}"
 
-    failures = []
-    signs = []
+
+@_property("omega", "omega of every extra element is power sum positive or negative",
+           detail=lambda signs: f"observed one-block signs by degree: {' '.join(signs)}")
+def _omega_sign(max_n, run):
+    run.observed = []
     for n in range(1, max_n + 1):
         for pi in _parts(n):
-            w = convert(omega(_elt("x", pi)), "p")
-            values = list(w.terms.values())
-            if not values or not (
-                all(v > 0 for v in values) or all(v < 0 for v in values)
-            ):
-                failures.append(str(pi))
+            values = list(convert(omega(_elt("x", pi)), "p").terms.values())
+            if not values or not (all(v > 0 for v in values) or all(v < 0 for v in values)):
+                yield str(pi)
         sample = convert(omega(_elt("x", _top(n))), "p")
-        signs.append("+" if next(iter(sample.terms.values())) > 0 else "-")
-    results.append(
-        _result(
-            "omega of every extra element is power sum positive or negative",
-            failures,
-            f"observed one-block signs by degree: {' '.join(signs)}",
-        )
-    )
+        run.observed.append("+" if next(iter(sample.terms.values())) > 0 else "-")
 
-    failures = []
-    for n in range(1, min(max_n, 4) + 1):
+
+@_property("omega", "omega commutes with the permutation action", cap=4)
+def _omega_permute(max_n, run):
+    for n in range(1, max_n + 1):
         etas = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
-        chosen = rng.sample(etas, min(4, len(etas)))
+        chosen = run.rng.sample(etas, min(4, len(etas)))
         for pi in _parts(n):
             for basis in ("p", "x"):
                 e = _elt(basis, pi)
                 for eta in chosen:
                     if permute(eta, omega(e)) != omega(permute(eta, e)):
-                        failures.append(f"{basis}, {pi}, {eta}")
-    results.append(_result("omega commutes with the permutation action", failures))
+                        yield f"{basis}, {pi}, {eta}"
 
-    failures = []
-    for n in range(max_n + 1):
-        for pi in _parts(n):
-            e = _elt("p", pi)
-            if rho(omega(e)) != omega_sym(rho(e)):
-                failures.append(str(pi))
-    results.append(_result("omega commutes with the commutative projection", failures))
-    return results
+
+@_property("omega", "omega commutes with the commutative projection")
+def _omega_rho(max_n, run):
+    for pi in _keys(max_n):
+        e = _elt("p", pi)
+        if rho(omega(e)) != omega_sym(rho(e)):
+            yield str(pi)
 
 
 # ---------------------------------------------------------------- fock
 
-def run_fock(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    results = []
-    rng = random.Random(seed)
+# the algebra product and coproduct use the species rules, so each
+# reference is taken in another basis and converted back
+_FOCK_ROUTES = (("m", "p"), ("p", "x"), ("x", "p"))
 
-    # the algebra product and coproduct use the species rules, so each
-    # reference is taken in another basis and converted back
-    routes = (("m", "p"), ("p", "x"), ("x", "p"))
-    failures = []
-    for basis, other in routes:
+
+@_property("fock", "graded species product matches the algebra product")
+def _fock_product(max_n, run):
+    for basis, other in _FOCK_ROUTES:
         for pi, sigma in _key_pairs(max_n):
             got = species.fock_product(_species_elt(basis, pi), _species_elt(basis, sigma))
             a, b = convert(_elt(basis, pi), other), convert(_elt(basis, sigma), other)
             if dict(got.terms) != convert(product(a, b), basis).terms:
-                failures.append(f"basis {basis}: {pi} * {sigma}")
-    results.append(
-        _result("graded species product matches the algebra product", failures)
-    )
+                yield f"basis {basis}: {pi} * {sigma}"
 
-    failures = []
-    for basis, other in routes:
-        for n in range(max_n + 1):
-            for pi in _parts(n):
-                got = species.fock_coproduct(_species_elt(basis, pi))
-                want = tensor_convert(coproduct(convert(_elt(basis, pi), other)), basis)
-                if got != want:
-                    failures.append(f"basis {basis}: {pi}")
-    results.append(
-        _result("graded species coproduct matches the algebra coproduct", failures)
-    )
 
-    failures = []
-    for n in range(min(max_n, 5) + 1):
+@_property("fock", "graded species coproduct matches the algebra coproduct")
+def _fock_coproduct(max_n, run):
+    for basis, other in _FOCK_ROUTES:
+        for pi in _keys(max_n):
+            got = species.fock_coproduct(_species_elt(basis, pi))
+            if got != tensor_convert(coproduct(convert(_elt(basis, pi), other)), basis):
+                yield f"basis {basis}: {pi}"
+
+
+@_property("fock", "power sum and extra bases triangulate exactly over any ground set", cap=5)
+def _fock_triangulation(max_n, run):
+    for n in range(max_n + 1):
         grounds = [range(1, n + 1)]
         if n:
-            grounds.append(sorted(rng.sample(range(1, 40), n)))
+            grounds.append(sorted(run.rng.sample(range(1, 40), n)))
         for ground in grounds:
             for a_key in set_partitions(ground):
                 # p = sum of x over refinements, then x = Möbius sum of p
@@ -690,17 +593,16 @@ def run_fock(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
                 for b in refinements(a_key):
                     for c in refinements(b):
                         acc[c] = acc.get(c, 0) + mobius(c, b)
-                acc = {k: v for k, v in acc.items() if v}
-                if acc != {a_key: 1}:
-                    failures.append(str(a_key))
-    results.append(
-        _result("power sum and extra bases triangulate exactly over any ground set", failures)
-    )
+                if {k: v for k, v in acc.items() if v} != {a_key: 1}:
+                    yield str(a_key)
 
-    st_example = species.relabel(
-        {1: 1, 6: 3, 3: 2, 8: 4}, _species_elt("m", _sp("1,6/3,8"))
-    )
-    ok = st_example == _species_elt("m", _sp("13/24"))
+
+@_property("fock", "relabeling is functorial")
+def _relabeling_functorial(max_n, run):
+    example = species.relabel({1: 1, 6: 3, 3: 2, 8: 4}, _species_elt("m", _sp("1,6/3,8")))
+    if example != _species_elt("m", _sp("13/24")):
+        yield "m{1,6/3,8} relabels to m{13/24}"
+    rng = run.rng
     for _ in range(10):
         n = rng.randrange(0, 6)
         ground = sorted(rng.sample(range(1, 30), n))
@@ -711,11 +613,8 @@ def run_fock(max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
         for pi in set_partitions(ground):
             v = _species_elt("p", pi)
             composed = species.relabel({x: g[f[x]] for x in ground}, v)
-            stepwise = species.relabel(g, species.relabel(f, v))
-            if composed != stepwise:
-                ok = False
-    results.append(CheckResult("relabeling is functorial", ok, ""))
-    return results
+            if composed != species.relabel(g, species.relabel(f, v)):
+                yield f"{pi} under {f} then {g}"
 
 
 # ---------------------------------------------------------------- oracle
@@ -746,79 +645,52 @@ def _rank(polys) -> int:
     return rank
 
 
-def run_oracle(max_n: int = 4, seed: int = DEFAULT_SEED, k: int = 4) -> list:
-    # certification requires k >= n for injective truncation, and the word
-    # count k^n makes larger degrees pointless here anyway
-    max_n = min(max_n, k)
-    results = []
-    rng = random.Random(seed)
-    bases = ("m", "p", "e", "x")
+@_property("oracle", "every basis conversion matches the defining expansions",
+           detail="n <= {n}, k = {k}")
+def _oracle_conversions(max_n, run):
+    for pi in _keys(max_n):
+        for b1, b2 in itertools.product(_BASES, repeat=2):
+            if b1 == b2:
+                continue
+            acc = monomials.NCPolynomial(run.k)
+            for sigma, c in convert(_elt(b1, pi), b2).terms.items():
+                acc = acc + c * run.expansion(b2, sigma)
+            if acc != run.expansion(b1, pi):
+                yield f"{b1}->{b2} at {pi}"
 
-    expansions = {}
-    for n in range(max_n + 1):
-        for pi in _parts(n):
-            for b in bases:
-                expansions[(b, pi)] = monomials.expand_nc(b, pi, k)
 
-    failures = []
-    for n in range(max_n + 1):
-        for pi in _parts(n):
-            for b1 in bases:
-                for b2 in bases:
-                    if b1 == b2:
-                        continue
-                    target = convert(_elt(b1, pi), b2)
-                    acc = monomials.NCPolynomial(k)
-                    for sigma, c in target.terms.items():
-                        acc = acc + c * expansions[(b2, sigma)]
-                    if acc != expansions[(b1, pi)]:
-                        failures.append(f"{b1}->{b2} at {pi}")
-    results.append(
-        _result(
-            "every basis conversion matches the defining expansions",
-            failures,
-            f"n <= {max_n}, k = {k}",
-        )
-    )
+@_property("oracle", "commutative projection carries the three scalar factors")
+def _oracle_commute(max_n, run):
+    for pi in _keys(max_n):
+        lam = pi.shape()
+        scalars = {"m": lambda_superfactorial(lam), "p": 1, "e": lambda_factorial(lam)}
+        for b, scalar in scalars.items():
+            lhs = monomials.commute(run.expansion(b, pi))
+            if lhs != scalar * monomials.expand_c(b, lam, run.k):
+                yield f"{b} at {pi}"
 
-    failures = []
-    for n in range(max_n + 1):
-        for pi in _parts(n):
-            lam = pi.shape()
-            pairs = [
-                ("m", lambda_superfactorial(lam)),
-                ("p", 1),
-                ("e", lambda_factorial(lam)),
-            ]
-            for b, scalar in pairs:
-                lhs = monomials.commute(expansions[(b, pi)])
-                rhs = scalar * monomials.expand_c(b, lam, k)
-                if lhs != rhs:
-                    failures.append(f"{b} at {pi}")
-    results.append(
-        _result("commutative projection carries the three scalar factors", failures)
-    )
 
-    failures = []
+@_property("oracle", "position action matches the relabeled expansions")
+def _oracle_positions(max_n, run):
     for n in range(max_n + 1):
         for eta_tuple in itertools.permutations(range(1, n + 1)):
             eta = Permutation(eta_tuple)
             for pi in _parts(n):
-                for b in bases:
-                    lhs = monomials.position_permute(expansions[(b, pi)], eta)
-                    if lhs != expansions[(b, apply_permutation(eta, pi))]:
-                        failures.append(f"{b}, {pi}, {eta_tuple}")
-    results.append(
-        _result("position action matches the relabeled expansions", failures)
-    )
+                for b in _BASES:
+                    lhs = monomials.position_permute(run.expansion(b, pi), eta)
+                    if lhs != run.expansion(b, apply_permutation(eta, pi)):
+                        yield f"{b}, {pi}, {eta_tuple}"
 
-    failures = []
+
+@_property("oracle", "symmetrizing then commuting is the identity")
+def _oracle_symmetrize(max_n, run):
+    k, rng = run.k, run.rng
     for n in range(max_n + 1):
         for lam in integer_partitions(n):
             for b in ("m", "p", "e"):
                 q = monomials.expand_c(b, lam, k)
                 if monomials.commute(monomials.symmetrize_R(q, n)) != q:
-                    failures.append(f"{b} at {lam}")
+                    yield f"{b} at {lam}"
         for _ in range(3):
             terms = {}
             for _ in range(4):
@@ -828,66 +700,100 @@ def run_oracle(max_n: int = 4, seed: int = DEFAULT_SEED, k: int = 4) -> list:
                 terms[tuple(exps)] = rng.randrange(-5, 6)
             q = monomials.CPolynomial(k, terms)
             if monomials.commute(monomials.symmetrize_R(q, n)) != q:
-                failures.append(f"random degree {n}")
-    results.append(
-        _result("symmetrizing then commuting is the identity", failures)
-    )
+                yield f"random degree {n}"
 
-    failures = []
+
+@_property("oracle", "symmetrized power sums spread evenly over one shape")
+def _oracle_lift(max_n, run):
     for n in range(max_n + 1):
         for lam in integer_partitions(n):
-            lifted = monomials.symmetrize_R(monomials.expand_c("p", lam, k), n)
-            scale = Fraction(
-                lambda_factorial(lam) * lambda_superfactorial(lam), factorial(max(n, 1))
-            ) if n else Fraction(1)
-            acc = monomials.NCPolynomial(k)
+            lifted = monomials.symmetrize_R(monomials.expand_c("p", lam, run.k), n)
+            scale = Fraction(lambda_factorial(lam) * lambda_superfactorial(lam), factorial(n))
+            acc = monomials.NCPolynomial(run.k)
             for tau in _parts(n):
                 if tau.shape() == lam:
-                    acc = acc + scale * expansions[("p", tau)]
+                    acc = acc + scale * run.expansion("p", tau)
             if lifted != acc:
-                failures.append(str(lam))
-    results.append(
-        _result("symmetrized power sums spread evenly over one shape", failures)
-    )
+                yield str(lam)
 
-    failures = []
-    for pi, sigma in _key_pairs(min(max_n, k)):
-        lhs = expansions[("p", pi)] * expansions[("p", sigma)]
-        if lhs != monomials.expand_nc("p", slash(pi, sigma), k):
-            failures.append(f"{pi} | {sigma}")
-    results.append(
-        _result("power sum expansions multiply by concatenation", failures)
-    )
 
-    failures = []
-    for n in range(min(max_n, 3) + 1):
-        for pi in _parts(n):
-            for b in bases:
-                small = monomials.expand_nc(b, pi, k)
-                big = monomials.expand_nc(b, pi, k + 1)
-                restricted = {
-                    w: c for w, c in big.terms.items() if all(x <= k for x in w)
-                }
-                if restricted != small.terms:
-                    failures.append(f"{b} at {pi}")
-    results.append(
-        _result("expansions are consistent across truncation widths", failures)
-    )
+@_property("oracle", "power sum expansions multiply by concatenation")
+def _oracle_concatenation(max_n, run):
+    for pi, sigma in _key_pairs(max_n):
+        lhs = run.expansion("p", pi) * run.expansion("p", sigma)
+        if lhs != monomials.expand_nc("p", slash(pi, sigma), run.k):
+            yield f"{pi} | {sigma}"
 
-    failures = []
+
+@_property("oracle", "expansions are consistent across truncation widths", cap=3)
+def _oracle_widths(max_n, run):
+    for pi in _keys(max_n):
+        for b in _BASES:
+            small = monomials.expand_nc(b, pi, run.k)
+            big = monomials.expand_nc(b, pi, run.k + 1)
+            restricted = {w: c for w, c in big.terms.items() if all(x <= run.k for x in w)}
+            if restricted != small.terms:
+                yield f"{b} at {pi}"
+
+
+@_property("oracle", "degree-n truncations stay linearly independent when k >= n")
+def _oracle_independence(max_n, run):
     for n in range(max_n + 1):
-        if k < n:
-            continue
-        for b in bases:
-            family = [expansions[(b, pi)] for pi in _parts(n)]
+        for b in _BASES:
+            family = [run.expansion(b, pi) for pi in _parts(n)]
             if _rank(family) != len(family):
-                failures.append(f"basis {b}, n={n}")
-    results.append(
-        _result(
-            "degree-n truncations stay linearly independent when k >= n", failures
-        )
+                yield f"basis {b}, n={n}"
+
+
+# ---------------------------------------------------------------- runner
+
+SUITES = tuple(dict.fromkeys(prop.suite for prop in PROPERTIES))
+
+
+def _run(suite: str, max_n: int, seed: int, k=None) -> list:
+    """One result row per property of ``suite``, in table order."""
+    run = SimpleNamespace(
+        rng=random.Random(seed),
+        k=k,
+        expansion=lru_cache(maxsize=None)(partial(monomials.expand_nc, k=k)),
+        observed=None,
     )
+    results = []
+    for prop in PROPERTIES:
+        if prop.suite != suite:
+            continue
+        n = max_n if prop.cap is None else min(max_n, prop.cap)
+        failures = list(prop.check(n, run))
+        if failures:
+            detail = f"{len(failures)} failure(s), first: {failures[0]}"
+        elif callable(prop.detail):
+            detail = prop.detail(run.observed)
+        else:
+            detail = prop.detail.format(n=n, k=k)
+        results.append(CheckResult(prop.name, not failures, detail))
     return results
+
+
+def run_oracle(max_n: int = 4, seed: int = DEFAULT_SEED, k: int = 4) -> list:
+    """The oracle suite against expansions in k variables."""
+    # certification requires k >= n for injective truncation, and the word
+    # count k^n makes larger degrees pointless here anyway
+    return _run("oracle", min(max_n, k), seed, k)
+
+
+def run_suite(name: str, max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
+    """Run one named suite, or all of them in declaration order."""
+    if name == "all":
+        return [
+            res._replace(name=f"{suite}: {res.name}")
+            for suite in SUITES
+            for res in run_suite(suite, max_n, seed)
+        ]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    if name == "oracle":
+        return run_oracle(max_n, seed)
+    return _run(name, max_n, seed)
 
 
 # ---------------------------------------------------------------- conjecture
@@ -934,29 +840,3 @@ def conjecture_report(max_n: int = 7) -> list:
             }
         )
     return rows
-
-
-SUITES = {
-    "mobius": run_mobius,
-    "lattice": run_lattice,
-    "bases": run_bases,
-    "hopf-axioms": run_hopf_axioms,
-    "coproduct-x": run_coproduct_x,
-    "x-to-m": run_x_to_m,
-    "omega": run_omega,
-    "fock": run_fock,
-    "oracle": run_oracle,
-}
-
-
-def run_suite(name: str, max_n: int = 5, seed: int = DEFAULT_SEED) -> list:
-    """Run one named suite, or all of them in declaration order."""
-    if name == "all":
-        out = []
-        for suite_name, fn in SUITES.items():
-            for res in fn(max_n=max_n, seed=seed):
-                out.append(CheckResult(f"{suite_name}: {res.name}", res.passed, res.detail))
-        return out
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](max_n=max_n, seed=seed)

@@ -296,18 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_arguments(args) -> None:
+    """Reject degree bounds and variable counts the subcommands cannot honour."""
+    max_n = getattr(args, "max_n", None)
+    if max_n is not None:
+        if max_n < 0:
+            raise ValueError(f"--max-n must be at least 0, got {max_n}")
+        if max_n > max_degree():
+            raise ValueError(
+                f"--max-n {max_n} exceeds the degree cap {max_degree()}"
+                " (set NCSYM_MAX_DEGREE to raise it)"
+            )
+    k = getattr(args, "vars", None)
+    if k is not None and k < 1:
+        raise ValueError(f"--vars must be at least 1, got {k}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    max_n = getattr(args, "max_n", None)
-    if max_n is not None and max_n > max_degree():
-        print(
-            f"error: --max-n {max_n} exceeds the degree cap {max_degree()}"
-            " (set NCSYM_MAX_DEGREE to raise it)",
-            file=sys.stderr,
-        )
-        return 2
     try:
+        _check_arguments(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

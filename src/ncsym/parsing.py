@@ -86,7 +86,12 @@ def _parse_terms(text: str, key_parser, position_base: int = 0):
         coeff_text = match.group("coeff")
         basis = match.group("elt1") or match.group("elt2")
         key_text = match.group("key1") if match.group("elt1") else match.group("key2")
-        coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
+        try:
+            coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
+        except ZeroDivisionError:
+            raise ParseError(
+                f"zero denominator in {coeff_text.strip()!r}", position_base + pos
+            ) from None
         coeff *= sign
         if basis is None:
             yield coeff, None, None

@@ -155,7 +155,7 @@ def test_criterion_3_orientation_route():
 
 def test_criterion_4_hopf_laws():
     started = time.time()
-    results = checks.run_hopf_axioms(max_n=5)
+    results = checks.run_suite("hopf-axioms", max_n=5)
     for result in results:
         assert result.passed, f"{result.name}: {result.detail}"
     _report(4, "Hopf law suite holds through total degree 5", started)

@@ -4,8 +4,10 @@
 standard output recorded from an earlier build: basis changes over every
 pair in both the set partition and the integer partition forms, products
 (commutative, and noncommutative in m, e and mixed bases), coproducts, the
-conjecture report and three inputs that must exit 2, in text and
-``--json``.  A change that alters any of them fails here.
+conjecture report, the check suites (all of them, and the capped degrees of
+``x-to-m`` and ``lattice``), the oracle at ``--vars`` below ``--max-n``, and
+three inputs that must exit 2, in text and ``--json``.  A change that alters
+any of them fails here.
 """
 
 import json

@@ -170,7 +170,7 @@ def test_lattice_axioms_small():
 
 
 def test_lattice_suite_through_degree_five():
-    from ncsym.checks import run_lattice, run_mobius
+    from ncsym.checks import run_suite
 
-    for result in run_lattice(max_n=5) + run_mobius(max_n=5):
+    for result in run_suite("lattice", max_n=5) + run_suite("mobius", max_n=5):
         assert result.passed, f"{result.name}: {result.detail}"

@@ -195,6 +195,31 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
     assert main(["species", "mu", "e{1}", "e{2}"]) == 2
     assert capsys.readouterr().err == "error: unknown species basis 'e'\n"
+    assert main(["convert", "3/0", "--to", "m"]) == 2
+    assert capsys.readouterr().err == "parse error: zero denominator in '3/0' (at position 0)\n"
+    assert main(["product", "p{1}", "1/0"]) == 2
+    assert capsys.readouterr().err == "parse error: zero denominator in '1/0' (at position 0)\n"
+    assert main(["convert", "p{1} - 2/0*p{1/2}", "--to", "m"]) == 2
+    assert "zero denominator in '2/0' (at position 7)" in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_bounds(monkeypatch, capsys):
+    for argv in (
+        ["check", "--suite", "all", "--max-n", "-3"],
+        ["verify", "--max-n", "-1"],
+        ["conjecture", "--max-n", "-1"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --max-n must be at least 0, got {argv[-1]}\n"
+    for k in ("-1", "0"):
+        assert main(["verify", "--vars", k]) == 2
+        assert capsys.readouterr().err == f"error: --vars must be at least 1, got {k}\n"
+    monkeypatch.setenv("NCSYM_MAX_DEGREE", "abc")
+    for argv in (["check", "--suite", "mobius"], ["verify"], ["conjecture"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: NCSYM_MAX_DEGREE must be an integer, got 'abc'\n"
+        )
 
 
 def test_cli_degree_cap(monkeypatch, capsys):
