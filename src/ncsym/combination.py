@@ -1,14 +1,54 @@
 """The sparse-combination arithmetic shared by every expression type.
 
 A combination maps keys to nonzero exact rationals and carries a basis tag
-plus, for the species types, the ground sets its keys partition.  The
-independent monomial oracle keeps its own polynomial classes and does not
-use this module.
+plus, for the species types, the ground sets its keys partition.  Every
+basis change, product and coproduct is the linear or bilinear extension of
+a rule on keys; ``linear`` and ``bilinear`` are the one kernel that extends
+a rule, accumulating integer numerators over the inputs' common denominator
+and dividing once per output key.  The independent monomial oracle keeps
+its own polynomial classes and does not use this module, and the checks do
+not use the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+
+def _numerators(terms: dict) -> tuple:
+    """The coefficients as integer numerators over their lcm denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
+
+
+def _divide(out: dict, den: int) -> dict:
+    return {k: Fraction(v, den) if den != 1 else v for k, v in out.items() if v}
+
+
+def linear(terms: dict, rule) -> dict:
+    """The linear extension of ``rule``, which maps a key to (key, weight)
+    pairs, applied to {key: rational coefficient}; zero results dropped."""
+    numerators, den = _numerators(terms)
+    out = {}
+    for key, a in numerators:
+        for k, w in rule(key):
+            out[k] = out.get(k, 0) + a * w
+    return _divide(out, den)
+
+
+def bilinear(left: dict, right: dict, rule) -> dict:
+    """The bilinear extension of ``rule``, which maps a pair of keys to
+    (key, weight) pairs, applied to two {key: rational coefficient} maps."""
+    lnum, lden = _numerators(left)
+    rnum, rden = _numerators(right)
+    out = {}
+    for k1, a in lnum:
+        for k2, b in rnum:
+            ab = a * b
+            for k, w in rule(k1, k2):
+                out[k] = out.get(k, 0) + ab * w
+    return _divide(out, lden * rden)
 
 
 class Combination:

@@ -28,11 +28,10 @@ on the (size, tau blocks, nu blocks) profile of the join's blocks and are
 memoized on it.  x <-> e stays on the pairs through p, so that the interval
 sum of ``x_e_expansion_coefficient`` remains an independent check of it.
 
-Möbius values are integers, so the memoized per-key tables hold int
-coefficients; only the rows into e divide and hold Fractions.  ``convert``,
-``coproduct`` and ``tensor_convert`` bring the input coefficients to one
-denominator and accumulate integer numerators.  Results are Fractions
-throughout, because ``Combination`` converts on construction.
+Each basis change has one memoized table, ``_key_convert``.  Möbius values
+are integers, so the tables hold int coefficients; only the rows into e
+divide.  Every operation below extends its rule on keys through
+``combination.linear`` or ``bilinear``; results are Fractions throughout.
 
 Every Hopf operation uses its basis's own rule; p is a hub only for
 ``convert``.  The product of two keys is their shifted concatenation on the
@@ -49,11 +48,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm
+from functools import lru_cache, partial
+from math import factorial
 
 from . import sym as _sym
-from .combination import Combination
+from .combination import Combination, bilinear, linear
 from .lattice import (
     _owner_map,
     coarsenings,
@@ -153,56 +152,36 @@ def _bottom(ground) -> SetPartition:
 
 
 @lru_cache(maxsize=None)
-def _key_to_p(basis: str, pi: SetPartition) -> tuple:
-    if basis == "p":
-        return ((pi, 1),)
-    if basis == "m":
-        return tuple((sigma, mobius(pi, sigma)) for sigma in coarsenings(pi))
-    if basis == "x":
-        return tuple((sigma, mobius(sigma, pi)) for sigma in refinements(pi))
-    if basis == "e":
-        bottom = _bottom(pi.ground)
-        return tuple((tau, mobius(bottom, tau)) for tau in refinements(pi))
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-@lru_cache(maxsize=None)
-def _key_from_p(basis: str, tau: SetPartition) -> tuple:
-    if basis == "p":
-        return ((tau, 1),)
-    if basis == "m":
-        return tuple((sigma, 1) for sigma in coarsenings(tau))
-    if basis == "x":
-        return tuple((sigma, 1) for sigma in refinements(tau))
-    if basis == "e":
-        bottom = _bottom(tau.ground)
-        lead = mobius(bottom, tau)
-        return tuple(
-            (sigma, Fraction(mobius(sigma, tau), lead)) for sigma in refinements(tau)
-        )
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-@lru_cache(maxsize=None)
 def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
+    """One basis element in the target basis, as (key, weight) pairs."""
     if basis == target:
         return ((pi, 1),)
-    if basis == "p":
-        return _key_from_p(target, pi)
-    if target == "p":
-        return _key_to_p(basis, pi)
-    if basis == "e" and target == "m":
+    route = (basis, target)
+    if route == ("m", "p"):
+        return tuple((sigma, mobius(pi, sigma)) for sigma in coarsenings(pi))
+    if route == ("x", "p"):
+        return tuple((sigma, mobius(sigma, pi)) for sigma in refinements(pi))
+    if route == ("e", "p"):
+        bottom = _bottom(pi.ground)
+        return tuple((tau, mobius(bottom, tau)) for tau in refinements(pi))
+    if route == ("p", "m"):
+        return tuple((sigma, 1) for sigma in coarsenings(pi))
+    if route == ("p", "x"):
+        return tuple((sigma, 1) for sigma in refinements(pi))
+    if route == ("p", "e"):
+        lead = mobius(_bottom(pi.ground), pi)
+        return tuple(
+            (sigma, Fraction(mobius(sigma, pi), lead)) for sigma in refinements(pi)
+        )
+    if route == ("e", "m"):
         return _e_to_m(pi)
-    if basis == "x" and target == "m":
+    if route == ("x", "m"):
         return _x_to_m(pi)
     if basis == "m":
         return _m_to(target, pi)
     # x <-> e: every comparable pair through p
-    out = {}
-    for sigma, c in _key_to_p(basis, pi):
-        for tau, d in _key_from_p(target, sigma):
-            out[tau] = out.get(tau, 0) + c * d
-    return tuple((k, v) for k, v in out.items() if v)
+    to_p = dict(_key_convert(basis, "p", pi))
+    return tuple(linear(to_p, partial(_key_convert, "p", target)).items())
 
 
 def _e_to_m(s: SetPartition) -> tuple:
@@ -309,33 +288,16 @@ def _coarsening_sum(target: str, profile: tuple) -> int | Fraction:
     return total
 
 
-def _common_denominator(terms: dict) -> tuple:
-    """The coefficients as integer numerators over their least common
-    denominator, so that accumulating table entries multiplies ints."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
-
-
-def _over(terms: dict, den: int) -> dict:
-    """Accumulated numerators back over the common denominator."""
-    if den == 1:
-        return terms
-    return {k: Fraction(v, den) for k, v in terms.items()}
-
-
 def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
     """Re-express in the target basis; all conversions are exact."""
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}")
     if target == expr.basis:
         return expr
-    numerators, den = _common_denominator(expr.terms)
-    terms = {}
-    for pi, a in numerators.items():
+    for pi in expr.terms:
         check_degree(pi.size)
-        for sigma, d in _key_convert(expr.basis, target, pi):
-            terms[sigma] = terms.get(sigma, 0) + a * d
-    return NCSymExpr(target, _over(terms, den))
+    rule = partial(_key_convert, expr.basis, target)
+    return NCSymExpr(target, linear(expr.terms, rule))
 
 
 def _key_product(basis: str, k1: SetPartition, k2: SetPartition):
@@ -358,13 +320,8 @@ def product(a: NCSymExpr, b) -> NCSymExpr:
     if not isinstance(b, NCSymExpr):
         return a.scale(b)
     basis = a.basis
-    bb = convert(b, basis)
-    terms = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in bb.terms.items():
-            for key, w in _key_product(basis, k1, k2):
-                terms[key] = terms.get(key, 0) + c1 * c2 * w
-    return NCSymExpr(basis, terms)
+    right = convert(b, basis).terms
+    return NCSymExpr(basis, bilinear(a.terms, right, partial(_key_product, basis)))
 
 
 @lru_cache(maxsize=None)
@@ -413,29 +370,25 @@ def _key_coproduct(basis: str, pi: SetPartition) -> tuple:
 
 def coproduct(expr: NCSymExpr) -> NCTensorExpr:
     """Coproduct with both tensor legs standardized, in the expression's basis."""
-    numerators, den = _common_denominator(expr.terms)
-    terms = {}
-    for pi, a in numerators.items():
+    for pi in expr.terms:
         check_degree(pi.size)
-        for key, d in _key_coproduct(expr.basis, pi):
-            terms[key] = terms.get(key, 0) + a * d
-    return NCTensorExpr(expr.basis, _over(terms, den))
+    rule = partial(_key_coproduct, expr.basis)
+    return NCTensorExpr(expr.basis, linear(expr.terms, rule))
 
 
 def tensor_convert(t: NCTensorExpr, target: str) -> NCTensorExpr:
     """Convert both legs of every tensor term to the target basis."""
     if target == t.basis:
         return t
-    numerators, den = _common_denominator(t.terms)
-    terms = {}
-    for (left, right), a in numerators.items():
+    for left, right in t.terms:
         check_degree(left.size)
         check_degree(right.size)
-        for lt, lc in _key_convert(t.basis, target, left):
-            for rt, rc in _key_convert(t.basis, target, right):
-                key = (lt, rt)
-                terms[key] = terms.get(key, 0) + a * lc * rc
-    return NCTensorExpr(target, _over(terms, den))
+
+    def rule(key):
+        left, right = (_key_convert(t.basis, target, leg) for leg in key)
+        return (((lt, rt), lc * rc) for lt, lc in left for rt, rc in right)
+
+    return NCTensorExpr(target, linear(t.terms, rule))
 
 
 def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:
@@ -443,14 +396,12 @@ def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:
     if t1.basis != t2.basis:
         raise ValueError("cannot multiply tensors in different bases")
     basis = t1.basis
-    terms = {}
-    for (a1, a2), c in t1.terms.items():
-        for (b1, b2), d in t2.terms.items():
-            for k1, e1 in _key_product(basis, a1, b1):
-                for k2, e2 in _key_product(basis, a2, b2):
-                    key = (k1, k2)
-                    terms[key] = terms.get(key, 0) + c * d * e1 * e2
-    return NCTensorExpr(basis, terms)
+
+    def rule(a, b):
+        left, right = (list(_key_product(basis, x, y)) for x, y in zip(a, b))
+        return (((k1, k2), e1 * e2) for k1, e1 in left for k2, e2 in right)
+
+    return NCTensorExpr(basis, bilinear(t1.terms, t2.terms, rule))
 
 
 def _leg_placements(n: int, sigma: SetPartition, tau: SetPartition) -> list:
@@ -462,6 +413,7 @@ def _leg_placements(n: int, sigma: SetPartition, tau: SetPartition) -> list:
     a, b = sigma.size, tau.size
     if a + b != n:
         raise ValueError(f"leg degrees {a} + {b} do not sum to {n}")
+    check_degree(n)
     elems = range(1, n + 1)
     out = []
     for s1 in itertools.combinations(elems, a):
@@ -512,23 +464,23 @@ def x_top_coproduct_coefficient(
 
 def omega(expr: NCSymExpr) -> NCSymExpr:
     """The involution scaling each power sum term by (-1)^(n - number of blocks)."""
-    pe = convert(expr, "p")
-    terms = {pi: c * (-1) ** (pi.size - len(pi.blocks)) for pi, c in pe.terms.items()}
+    pe = convert(expr, "p").terms
+    terms = linear(pe, lambda pi: ((pi, (-1) ** (pi.size - len(pi.blocks))),))
     return convert(NCSymExpr("p", terms), expr.basis)
 
 
 def permute(eta: Permutation, expr: NCSymExpr) -> NCSymExpr:
     """Relabel every key by the permutation; the expression must be homogeneous."""
     n = len(eta)
-    terms = {}
-    for pi, c in expr.terms.items():
+
+    def rule(pi):
         if pi.size != n:
             raise ValueError(
                 f"permutation of size {n} cannot act on a degree {pi.size} term"
             )
-        key = apply_permutation(eta, pi)
-        terms[key] = terms.get(key, 0) + c
-    return NCSymExpr(expr.basis, terms)
+        return ((apply_permutation(eta, pi), 1),)
+
+    return NCSymExpr(expr.basis, linear(expr.terms, rule))
 
 
 def rho(expr: NCSymExpr) -> _sym.SymExpr:
@@ -541,11 +493,12 @@ def rho(expr: NCSymExpr) -> _sym.SymExpr:
     lattices of its blocks, so the image of x is multiplicative.
     """
     scale = {"m": lambda_superfactorial, "e": lambda_factorial}.get(expr.basis)
-    terms = {}
-    for pi, c in expr.terms.items():
+
+    def rule(pi):
         lam = pi.shape()
-        terms[lam] = terms.get(lam, 0) + (c * scale(lam) if scale else c)
-    return _sym.SymExpr(expr.basis, terms)
+        return ((lam, scale(lam) if scale else 1),)
+
+    return _sym.SymExpr(expr.basis, linear(expr.terms, rule))
 
 
 @lru_cache(maxsize=None)
@@ -570,16 +523,15 @@ def lift_R(expr: _sym.SymExpr) -> NCSymExpr:
     the identity.
     """
     pe = _sym.convert_sym(expr, "p")
-    terms = {}
-    for lam, c in pe.terms.items():
-        n = lam.n
-        check_degree(n)
-        scale = c * Fraction(
-            lambda_factorial(lam) * lambda_superfactorial(lam), factorial(n)
-        )
-        for tau in set_partitions_of_shape(lam):
-            terms[tau] = terms.get(tau, 0) + scale
-    return NCSymExpr("p", terms)
+    scaled = {
+        lam: c * lambda_factorial(lam) * lambda_superfactorial(lam) / factorial(lam.n)
+        for lam, c in pe.terms.items()
+    }
+
+    def rule(lam):
+        return ((tau, 1) for tau in set_partitions_of_shape(lam))
+
+    return NCSymExpr("p", linear(scaled, rule))
 
 
 def x_to_m_top(n: int) -> NCSymExpr:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .combination import Combination
+from .combination import Combination, bilinear, linear
 from .lattice import interval, mobius, refinements
 from .limits import check_degree
 from .partitions import SetPartition, disjoint_union
@@ -130,11 +130,7 @@ def species_mu(a: SpeciesElement, b: SpeciesElement) -> SpeciesElement:
         raise ValueError(
             f"ground sets overlap: {sorted(a.ground)} and {sorted(b.ground)}"
         )
-    terms = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            for key, w in mu_key(a.basis, ka, kb):
-                terms[key] = terms.get(key, 0) + ca * cb * w
+    terms = bilinear(a.terms, b.terms, lambda ka, kb: mu_key(a.basis, ka, kb))
     return SpeciesElement(a.ground | b.ground, a.basis, terms)
 
 
@@ -182,10 +178,7 @@ def _decomposition(ground: frozenset, s1, s2) -> tuple:
 def species_delta(v: SpeciesElement, s1, s2) -> SpeciesTensor:
     """Coproduct component at the ordered decomposition (s1, s2) of the ground set."""
     s1, s2 = _decomposition(v.ground, s1, s2)
-    terms = {}
-    for pi, c in v.terms.items():
-        for key, w in delta_key(v.basis, pi, s1, s2):
-            terms[key] = terms.get(key, 0) + c * w
+    terms = linear(v.terms, lambda pi: delta_key(v.basis, pi, s1, s2))
     return SpeciesTensor(s1, s2, v.basis, terms)
 
 

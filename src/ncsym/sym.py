@@ -5,18 +5,20 @@ at gamma is the number of fillings of a table with rows lam and column
 totals gamma (whole parts for p, 0/1 rows for e).  The m-to-p and m-to-e
 tables are these matrices inverted exactly.  The multiplicative x-basis is
 the product over its parts of one-part power sum rows, and p-to-x inverts
-it per degree the same way.  The monomial oracle is not used here; it
-expands the same elements as polynomials and checks these tables.
+it per degree the same way; composite rows and the operations extend
+through ``combination.linear``/``bilinear``.  The monomial oracle is not
+used here; it expands the same elements as polynomials and checks these
+tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
-from .combination import Combination
+from .combination import Combination, bilinear, linear
 from .lattice import merge_mobius
 from .limits import check_degree
 from .partitions import (
@@ -156,12 +158,8 @@ def _x_to_p_key(lam: IntegerPartition) -> dict:
     """x at ``lam`` in power sums: the product over the parts of one-part rows."""
     row = {IntegerPartition(): 1}
     for part in lam.parts:
-        grown = {}
-        for gam, c in row.items():
-            for nu, d in _x_to_p_part(part).items():
-                key = concat(gam, nu)
-                grown[key] = grown.get(key, 0) + c * d
-        row = grown
+        one = _x_to_p_part(part).items()
+        row = linear(row, lambda gam: ((concat(gam, nu), d) for nu, d in one))
     return row
 
 
@@ -183,14 +181,6 @@ def _p_to_x(n: int) -> dict:
     )
 
 
-def _compose(row: dict, table) -> dict:
-    out = {}
-    for mid, c in row.items():
-        for gam, d in table(mid).items():
-            out[gam] = out.get(gam, 0) + c * d
-    return {gam: v for gam, v in out.items() if v}
-
-
 @lru_cache(maxsize=None)
 def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
     """Coordinates of one basis element in the target basis, as key/value pairs."""
@@ -200,16 +190,16 @@ def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
     if basis == "x":
         row = _x_to_p_key(lam)
         if target != "p":
-            row = _compose(row, lambda mid: dict(_key_convert_sym("p", target, mid)))
+            row = linear(row, lambda mid: _key_convert_sym("p", target, mid))
     elif target == "x":
         prow = dict(_key_convert_sym(basis, "p", lam))
-        row = _compose(prow, lambda mid: _p_to_x(n)[mid])
+        row = linear(prow, lambda mid: _p_to_x(n)[mid].items())
     elif basis == "m":
         row = _from_m(target, n)[lam]
     elif target == "m":
         row = _to_m(basis, n)[lam]
     else:
-        row = _compose(_to_m(basis, n)[lam], lambda mid: _from_m(target, n)[mid])
+        row = linear(_to_m(basis, n)[lam], lambda mid: _from_m(target, n)[mid].items())
     return tuple(row.items())
 
 
@@ -219,12 +209,10 @@ def convert_sym(expr: SymExpr, target: str) -> SymExpr:
         raise ValueError(f"unknown basis {target!r}")
     if target == expr.basis:
         return expr
-    terms = {}
-    for lam, c in expr.terms.items():
+    for lam in expr.terms:
         check_degree(lam.n)
-        for gam, d in _key_convert_sym(expr.basis, target, lam):
-            terms[gam] = terms.get(gam, 0) + c * d
-    return SymExpr(target, terms)
+    rule = partial(_key_convert_sym, expr.basis, target)
+    return SymExpr(target, linear(expr.terms, rule))
 
 
 def product_sym(a: SymExpr, b: SymExpr) -> SymExpr:
@@ -234,21 +222,15 @@ def product_sym(a: SymExpr, b: SymExpr) -> SymExpr:
     basis = a.basis
     if basis == "m":
         return convert_sym(product_sym(convert_sym(a, "p"), convert_sym(b, "p")), "m")
-    bb = convert_sym(b, basis)
-    terms = {}
-    for lam, c in a.terms.items():
-        for gam, d in bb.terms.items():
-            key = concat(lam, gam)
-            terms[key] = terms.get(key, 0) + c * d
+    right = convert_sym(b, basis).terms
+    terms = bilinear(a.terms, right, lambda lam, gam: ((concat(lam, gam), 1),))
     return SymExpr(basis, terms)
 
 
 def omega_sym(expr: SymExpr) -> SymExpr:
     """The involution scaling each power sum term by (-1)^(n - number of parts)."""
-    pe = convert_sym(expr, "p")
-    terms = {
-        lam: c * (-1) ** (lam.n - len(lam.parts)) for lam, c in pe.terms.items()
-    }
+    pe = convert_sym(expr, "p").terms
+    terms = linear(pe, lambda lam: ((lam, (-1) ** (lam.n - len(lam.parts))),))
     return convert_sym(SymExpr("p", terms), expr.basis)
 
 

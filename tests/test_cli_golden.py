@@ -1,13 +1,15 @@
 """CLI output pinned byte for byte.
 
-``data/cli_golden.json`` holds argument lists with the exit code and the
-standard output recorded from an earlier build: basis changes over every
-pair in both the set partition and the integer partition forms, products
-(commutative, and noncommutative in m, e and mixed bases), coproducts, the
-conjecture report, the check suites (all of them, and the capped degrees of
-``x-to-m`` and ``lattice``), the oracle at ``--vars`` below ``--max-n``, and
-three inputs that must exit 2, in text and ``--json``.  A change that alters
-any of them fails here.
+``data/cli_golden.json`` holds argument lists with the exit code, the
+standard output and the standard error recorded from an earlier build:
+basis changes over every pair in both the set partition and the integer
+partition forms, products (commutative, and noncommutative in m, e and
+mixed bases), coproducts, the conjecture report, the check suites (all of
+them, and the capped degrees of ``x-to-m`` and ``lattice``), the oracle at
+``--vars`` below ``--max-n``, and three inputs that must exit 2, in text and
+``--json``.  The exit-2 cases print nothing on standard output, so their
+standard error pins the message.  A change that alters any of them fails
+here.
 """
 
 import json
@@ -30,4 +32,6 @@ def test_cli_output_is_byte_identical(case, capsys, monkeypatch):
     except SystemExit as exc:
         code = exc.code
     assert code == case["exit_code"]
-    assert capsys.readouterr().out == case["stdout"]
+    captured = capsys.readouterr()
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]

@@ -1,5 +1,7 @@
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from ncsym import (
     SpeciesTensor,
     SymExpr,
 )
+from ncsym import checks
 from ncsym.combination import Combination
 
 from conftest import imported_names, ip_, sp_
@@ -88,3 +91,9 @@ def test_monomial_oracle_shares_no_production_code():
     assert not imported_names(ncsym.sym) & {"refinements", "expand_c"}
     assert not issubclass(NCPolynomial, Combination)
     assert not issubclass(CPolynomial, Combination)
+    # the reference routes keep their own accumulation loops, so a fault in
+    # the linear-extension kernel cannot hide on both sides of a check
+    for module in (ncsym.monomials, checks):
+        nodes = ast.walk(ast.parse(Path(module.__file__).read_text()))
+        used = {getattr(node, "id", getattr(node, "attr", None)) for node in nodes}
+        assert not (used | imported_names(module)) & {"linear", "bilinear"}

@@ -35,7 +35,7 @@ from ncsym import (
     x_top_coproduct_coefficient,
 )
 from ncsym import expressions, graphs, lattice
-from ncsym.expressions import BASES, _key_convert, _key_from_p, _key_to_p
+from ncsym.expressions import BASES, _key_convert
 
 from conftest import elt, imported_names, ip_, sp_
 
@@ -330,8 +330,8 @@ def test_x_to_m_top_matches_orientation_enumeration():
 def _two_stage(basis, target, pi):
     """The composite table through p: every comparable pair, summed."""
     out = {}
-    for sigma, c in _key_to_p(basis, pi):
-        for tau, d in _key_from_p(target, sigma):
+    for sigma, c in _key_convert(basis, "p", pi):
+        for tau, d in _key_convert("p", target, sigma):
             out[tau] = out.get(tau, 0) + c * d
     return {tau: v for tau, v in out.items() if v}
 
@@ -425,8 +425,6 @@ def test_oracle_routes_stay_independent():
     }
     assert not _reachable_names(expressions, "x_e_expansion_coefficient") & {
         "_key_convert",
-        "_key_to_p",
-        "_key_from_p",
         "convert",
     }
 
@@ -434,7 +432,7 @@ def test_oracle_routes_stay_independent():
 def test_hopf_operations_use_their_own_rules():
     # p is a hub for convert only: no product, coproduct or projection
     # detours through another basis, and the m product rule lives in species
-    conversions = {"convert", "_key_convert", "_key_to_p", "_key_from_p", "convert_sym"}
+    conversions = {"convert", "_key_convert", "convert_sym"}
     for name in ("_key_product", "tensor_product", "_key_coproduct", "rho"):
         assert not _reachable_names(expressions, name) & conversions, name
     assert "mu_key" in _reachable_names(expressions, "_key_product")
@@ -515,6 +513,11 @@ def test_degree_cap(monkeypatch):
         x_e_expansion_coefficient(top(4), sp_("1/2/3/4"))
     with pytest.raises(DegreeLimitError):
         set_partitions_of_shape(ip_(13))
+    # the leg placements are guarded before they are built
+    with pytest.raises(DegreeLimitError):
+        x_coproduct_coefficient(top(4), top(2), top(2))
+    with pytest.raises(DegreeLimitError):
+        x_top_coproduct_coefficient(4, top(2), top(2))
     monkeypatch.setenv("NCSYM_MAX_DEGREE", "not-a-number")
     with pytest.raises(DegreeLimitError):
         convert(expr, "m")
