@@ -5,7 +5,12 @@ element is a sparse combination of partitions of one declared ground set in
 one of the m, p, x bases.  Products and coproducts are indexed by ordered
 decompositions of the ground set.  This module holds the only implementation
 of the product and coproduct component rules (`mu_key`, `delta_key`) and of
-the splitting coefficients (`c_coefficient`).  The graded product in
+the splitting coefficients (`c_coefficient`).  The x component factors over
+the blocks of pi: the coefficient of a leg pair is the product over the
+blocks P of pi of a weight that depends only on how many leg blocks lie in
+P on each side (`_x_weight`).  `c_coefficient` sums Möbius values over the
+interval instead, and is the independent route to the same coefficients.
+The graded product in
 `expressions` applies `mu_key` to the second key shifted past the first on
 m; the graded coproduct, and so `fock_coproduct`, is the standardized sum of
 the components over every ordered split of {1..n}.  e is not a species
@@ -17,9 +22,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 from .combination import Combination, bilinear, linear
-from .lattice import interval, mobius, refinements
+from .lattice import _rgs_blocks, _stirling_row, interval, merge_mobius, mobius
 from .limits import check_degree
 from .partitions import SetPartition, disjoint_union
 
@@ -139,29 +146,49 @@ def delta_key(basis: str, pi: SetPartition, s1: frozenset, s2: frozenset):
 
     Yields ((left, right), weight) with nonzero integer weights.  m and p:
     the pair of restrictions when every block lies inside s1 or s2.  x: the
-    Möbius value mu(D1 + D2, pi) of each pair of refinements (D1, D2) of the
-    restrictions, credited to every pair of refinements of D1 and D2.
+    pairs of refinements of the restrictions, each weighted by the product
+    over the blocks P of pi of ``_x_weight(l, r)``, where l and r count the
+    left and right leg blocks inside P.  The interval sum `c_coefficient` is
+    the independent route to the same coefficients.
     """
     if basis in ("m", "p"):
         if _split_respecting(pi, s1):
             yield (pi.restrict(s1), pi.restrict(s2)), 1
         return
-    a1 = pi.restrict(s1)
-    a2 = pi.restrict(s2)
-    out = {}
-    refs2 = list(refinements(a2))
-    subs2 = {d2: list(refinements(d2)) for d2 in refs2}
-    for d1 in refinements(a1):
-        subs1 = list(refinements(d1))
-        for d2 in refs2:
-            w = mobius(disjoint_union(d1, d2), pi)
-            for left in subs1:
-                for right in subs2[d2]:
-                    key = (left, right)
-                    out[key] = out.get(key, 0) + w
-    for key, w in out.items():
-        if w:
-            yield key, w
+    per_block = []
+    for blk in pi.blocks:
+        rights = list(_rgs_blocks([x for x in blk if x not in s1]))
+        pairs = [
+            (left, right, w)
+            for left in _rgs_blocks([x for x in blk if x in s1])
+            for right in rights
+            if (w := _x_weight(len(left), len(right)))
+        ]
+        per_block.append(pairs)
+    for combo in itertools.product(*per_block):
+        left = tuple(sorted(itertools.chain.from_iterable(c[0] for c in combo)))
+        right = tuple(sorted(itertools.chain.from_iterable(c[1] for c in combo)))
+        key = (SetPartition._trusted(left, s1), SetPartition._trusted(right, s2))
+        yield key, prod(c[2] for c in combo)
+
+
+@lru_cache(maxsize=None)
+def _x_weight(l: int, r: int) -> int:
+    """The x coproduct weight of one block of pi holding l left and r right
+    leg blocks, l + r > 0.
+
+    The interval above those l + r blocks inside the block is a partition
+    lattice, so the Möbius sum over it is sum_{i,j} S(l, i) S(r, j)
+    mu1(i + j).  It vanishes when one side is empty and the other has more
+    than one block.
+    """
+    return sum(
+        a * b * merge_mobius(i + j)
+        for i, a in enumerate(_stirling_row(l))
+        if a
+        for j, b in enumerate(_stirling_row(r))
+        if b
+    )
 
 
 def _decomposition(ground: frozenset, s1, s2) -> tuple:

@@ -4,9 +4,11 @@
 standard output and the standard error recorded from an earlier build:
 basis changes over every pair in both the set partition and the integer
 partition forms, products (commutative, and noncommutative in m, e and
-mixed bases), coproducts, the conjecture report, the check suites (all of
-them, and the capped degrees of ``x-to-m`` and ``lattice``), the oracle at
-``--vars`` below ``--max-n``, and three inputs that must exit 2, in text and
+mixed bases), coproducts (of e keys, and of x keys: graded, in ``--json``,
+a fractional combination, one ``--split`` component and ``species
+delta``), the conjecture report, the check suites (all of them, and the
+capped degrees of ``x-to-m`` and ``lattice``), the oracle at ``--vars``
+below ``--max-n``, and three inputs that must exit 2, in text and
 ``--json``.  The exit-2 cases print nothing on standard output, so their
 standard error pins the message.  A change that alters any of them fails
 here.

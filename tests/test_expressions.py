@@ -34,7 +34,7 @@ from ncsym import (
     x_to_m_top,
     x_top_coproduct_coefficient,
 )
-from ncsym import expressions, graphs, lattice
+from ncsym import checks, expressions, graphs, lattice, species
 from ncsym.expressions import BASES, _key_convert
 
 from conftest import elt, imported_names, ip_, sp_
@@ -427,6 +427,19 @@ def test_oracle_routes_stay_independent():
         "_key_convert",
         "convert",
     }
+    # the x coproduct rule multiplies block weights; the interval sum and
+    # the checks that compare with it never read that weight table
+    assert not _reachable_names(species, "delta_key") & {
+        "mobius",
+        "interval",
+        "refinements",
+        "c_coefficient",
+    }
+    assert "_x_weight" in _reachable_names(species, "delta_key")
+    assert not _reachable_names(species, "c_coefficient") & {"_x_weight", "delta_key"}
+    for name in ("x_coproduct_coefficient", "x_top_coproduct_coefficient"):
+        assert not _reachable_names(expressions, name) & {"_x_weight", "delta_key"}, name
+    assert "_x_weight" not in _reachable_names(checks, "_species_x_coproduct")
 
 
 def test_hopf_operations_use_their_own_rules():

@@ -11,7 +11,7 @@ to degree 3.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ncsym import (
@@ -35,7 +35,15 @@ from ncsym.expressions import BASES
 
 PAIRS = list(itertools.permutations(BASES, 2))
 SPECIES_BASES = ("m", "p", "x")
-LINEARITY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+# No shrink phase: a fault in the kernel fails every example, and shrinking
+# each failure would take tens of seconds per test.
+LINEARITY = settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 

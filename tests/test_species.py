@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,9 @@ from ncsym import (
     species_mu,
     tensor_convert,
 )
+from ncsym.lattice import mobius, refinements
+from ncsym.partitions import disjoint_union
+from ncsym.species import _x_weight, delta_key
 
 from conftest import sp_
 
@@ -84,6 +88,57 @@ def test_delta_extra_example():
     assert full.coefficient(sp_("12/3"), SetPartition.empty()) == 1
     with pytest.raises(ValueError):
         species_delta(v, {1}, {2})
+
+
+def _refinement_pair_rule(pi, s1, s2):
+    """The x component as the sum over refinement pairs (D1, D2) of the
+    restrictions: mu(D1 + D2, pi) credited to every refinement pair of
+    (D1, D2)."""
+    out = {}
+    refs2 = list(refinements(pi.restrict(s2)))
+    subs2 = {d2: list(refinements(d2)) for d2 in refs2}
+    for d1 in refinements(pi.restrict(s1)):
+        subs1 = list(refinements(d1))
+        for d2 in refs2:
+            w = mobius(disjoint_union(d1, d2), pi)
+            for left in subs1:
+                for right in subs2[d2]:
+                    out[(left, right)] = out.get((left, right), 0) + w
+    return {key: w for key, w in out.items() if w}
+
+
+def test_block_factored_x_rule_matches_the_refinement_pair_sum():
+    # n <= 5: the refinement-pair sum takes seconds at n = 6
+    for n in range(6):
+        ground = range(1, n + 1)
+        for pi in set_partitions(ground):
+            for r in range(n + 1):
+                for chosen in itertools.combinations(ground, r):
+                    s1 = frozenset(chosen)
+                    s2 = pi.ground - s1
+                    got = list(delta_key("x", pi, s1, s2))
+                    assert len({key for key, _ in got}) == len(got)
+                    assert dict(got) == _refinement_pair_rule(pi, s1, s2), (pi, s1)
+
+
+def test_x_weight_table():
+    for l in range(1, 8):
+        assert _x_weight(l, 0) == _x_weight(0, l) == (l == 1)
+        for r in range(8):
+            assert _x_weight(l, r) == _x_weight(r, l)
+    assert (_x_weight(1, 1), _x_weight(2, 2), _x_weight(3, 3)) == (-1, -3, -31)
+
+
+def test_x_weight_is_the_one_block_splitting_coefficient():
+    # the all-singleton legs of the one-block partition put l and r leg
+    # blocks in its only block
+    for total in range(1, 8):
+        pi = SetPartition.whole(range(1, total + 1))
+        for l in range(total + 1):
+            s1 = set(range(1, l + 1))
+            s2 = set(range(l + 1, total + 1))
+            b, c = SetPartition.singletons(s1), SetPartition.singletons(s2)
+            assert c_coefficient(pi, s1, s2, b, c) == _x_weight(l, total - l)
 
 
 def test_c_coefficient_values():
