@@ -24,7 +24,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from types import SimpleNamespace
 
 from . import graphs, monomials, species
@@ -620,14 +620,20 @@ def _relabeling_functorial(max_n, run):
 # ---------------------------------------------------------------- oracle
 
 def _rank(polys) -> int:
-    """Rank of a family of polynomials over their joint support."""
+    """Rank over the rationals of a family of polynomials on their joint support.
+
+    Each row is scaled to integers by the lcm of its denominators, and the
+    elimination stays in integers: a row below the pivot becomes
+    pivot * row - entry * pivot row, divided by the gcd of its entries.
+    """
     support = sorted({w for p in polys for w in p.terms})
     index = {w: i for i, w in enumerate(support)}
     rows = []
     for p in polys:
-        row = [Fraction(0)] * len(support)
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        row = [0] * len(support)
         for w, c in p.terms.items():
-            row[index[w]] = Fraction(c)
+            row[index[w]] = c.numerator * (den // c.denominator)
         rows.append(row)
     rank = 0
     for col in range(len(support)):
@@ -635,12 +641,14 @@ def _rank(polys) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                row = [pv * x - f * y for x, y in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         rank += 1
     return rank
 
@@ -648,14 +656,20 @@ def _rank(polys) -> int:
 @_property("oracle", "every basis conversion matches the defining expansions",
            detail="n <= {n}, k = {k}")
 def _oracle_conversions(max_n, run):
+    # with D the lcm of the denominators of the converted coefficients, the
+    # integer sum of D * coefficient * expansion must be D * the source
     for pi in _keys(max_n):
         for b1, b2 in itertools.product(_BASES, repeat=2):
             if b1 == b2:
                 continue
-            acc = monomials.NCPolynomial(run.k)
-            for sigma, c in convert(_elt(b1, pi), b2).terms.items():
-                acc = acc + c * run.expansion(b2, sigma)
-            if acc != run.expansion(b1, pi):
+            image = convert(_elt(b1, pi), b2).terms
+            den = lcm(*(c.denominator for c in image.values()))
+            acc = {}
+            for sigma, c in image.items():
+                scaled = c.numerator * (den // c.denominator)
+                for w, v in run.expansion(b2, sigma).terms.items():
+                    acc[w] = acc.get(w, 0) + scaled * v
+            if monomials.NCPolynomial(run.k, acc) != den * run.expansion(b1, pi):
                 yield f"{b1}->{b2} at {pi}"
 
 
@@ -709,11 +723,12 @@ def _oracle_lift(max_n, run):
         for lam in integer_partitions(n):
             lifted = monomials.symmetrize_R(monomials.expand_c("p", lam, run.k), n)
             scale = Fraction(lambda_factorial(lam) * lambda_superfactorial(lam), factorial(n))
-            acc = monomials.NCPolynomial(run.k)
+            acc = {}
             for tau in _parts(n):
                 if tau.shape() == lam:
-                    acc = acc + scale * run.expansion("p", tau)
-            if lifted != acc:
+                    for w, v in run.expansion("p", tau).terms.items():
+                        acc[w] = acc.get(w, 0) + v
+            if lifted != scale * monomials.NCPolynomial(run.k, acc):
                 yield str(lam)
 
 

@@ -501,18 +501,62 @@ def rho(expr: NCSymExpr) -> _sym.SymExpr:
     return _sym.SymExpr(expr.basis, linear(expr.terms, rule))
 
 
+def _shape_blocks(n: int, parts: tuple):
+    """The canonical block tuples of the partitions of {1..n} with block
+    sizes ``parts``, in the restricted growth string order of
+    ``set_partitions``.
+
+    Each element joins an open block or opens the next one, and a prefix
+    is kept only while it can still complete to the shape: room[t] counts
+    the parts of size at least t not yet matched by a block of size at
+    least t, so a block may grow to size t only while room[t] is positive.
+    """
+    room = [0] * (n + 1)
+    for part in parts:
+        for t in range(1, part + 1):
+            room[t] += 1
+    sizes = []
+    rgs = [0] * n
+
+    def walk(i):
+        if i == n:
+            blocks = [[] for _ in sizes]
+            for x, b in enumerate(rgs, 1):
+                blocks[b].append(x)
+            yield tuple(map(tuple, blocks))
+            return
+        for b, size in enumerate(sizes):
+            if room[size + 1]:
+                room[size + 1] -= 1
+                sizes[b] = size + 1
+                rgs[i] = b
+                yield from walk(i + 1)
+                sizes[b] = size
+                room[size + 1] += 1
+        if room[1]:
+            room[1] -= 1
+            rgs[i] = len(sizes)
+            sizes.append(1)
+            yield from walk(i + 1)
+            sizes.pop()
+            room[1] += 1
+
+    return walk(0)
+
+
 @lru_cache(maxsize=None)
-def _partitions_by_shape(n: int) -> dict:
-    out = {}
-    for tau in set_partitions(range(1, n + 1)):
-        out.setdefault(tau.shape(), []).append(tau)
-    return {lam: tuple(taus) for lam, taus in out.items()}
+def _partitions_of_shape(lam: IntegerPartition) -> tuple:
+    ground = frozenset(range(1, lam.n + 1))
+    return tuple(
+        SetPartition._trusted(blocks, ground) for blocks in _shape_blocks(lam.n, lam.parts)
+    )
 
 
 def set_partitions_of_shape(lam: IntegerPartition) -> tuple:
-    """All partitions of {1..n} whose block sizes realize the given shape."""
+    """All partitions of {1..n} whose block sizes realize the given shape,
+    in ``set_partitions`` order; only that shape is enumerated."""
     check_degree(lam.n)
-    return _partitions_by_shape(lam.n).get(lam, ())
+    return _partitions_of_shape(lam)
 
 
 def lift_R(expr: _sym.SymExpr) -> NCSymExpr:

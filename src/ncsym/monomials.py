@@ -5,6 +5,11 @@ deliberately independent of the basis-change machinery so the two routes can
 certify each other: with k at least n, distinct degree-n expansions stay
 linearly independent, so equality of truncations implies equality of the
 abstract elements.
+
+Every defining sum has integer coefficients, so a polynomial stores each
+coefficient as an ``int`` when it is integral and as a ``Fraction`` only
+otherwise (symmetrizing divides by n!).  ``coefficient()`` still returns a
+``Fraction``, and equality compares the exact values either way.
 """
 
 from __future__ import annotations
@@ -17,26 +22,39 @@ from .lattice import mobius, refinements
 from .partitions import IntegerPartition, Permutation, SetPartition, bracket
 
 
+def _clean(terms) -> dict:
+    """The nonzero terms, each coefficient an int when integral, else a Fraction."""
+    clean = {}
+    for key, c in (terms or {}).items():
+        if type(c) is not int:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        if c:
+            clean[tuple(key)] = c
+    return clean
+
+
 class NCPolynomial:
-    """Sparse polynomial in k noncommuting variables; keys are letter tuples."""
+    """Sparse polynomial in k noncommuting variables; keys are letter tuples.
+
+    ``terms`` maps each word to an ``int`` when the coefficient is integral
+    and to a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("k", "terms")
 
     def __init__(self, k: int, terms=None):
         self.k = k
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                clean[tuple(word)] = c
-        self.terms = clean
+        self.terms = _clean(terms)
 
     @classmethod
     def one(cls, k: int) -> "NCPolynomial":
         return cls(k, {(): 1})
 
     def coefficient(self, word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
+        return Fraction(self.terms.get(tuple(word), 0))
 
     def __eq__(self, other):
         return (
@@ -80,25 +98,24 @@ class NCPolynomial:
 
 
 class CPolynomial:
-    """Sparse polynomial in k commuting variables; keys are exponent tuples."""
+    """Sparse polynomial in k commuting variables; keys are exponent tuples.
+
+    ``terms`` maps each exponent vector to an ``int`` when the coefficient is
+    integral and to a ``Fraction`` otherwise.
+    """
 
     __slots__ = ("k", "terms")
 
     def __init__(self, k: int, terms=None):
         self.k = k
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
+        self.terms = _clean(terms)
 
     @classmethod
     def one(cls, k: int) -> "CPolynomial":
         return cls(k, {(0,) * k: 1})
 
     def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(tuple(exps), 0))
 
     def __eq__(self, other):
         return (
@@ -154,10 +171,12 @@ def expand_nc(basis: str, pi: SetPartition, k: int) -> NCPolynomial:
     if not pi.is_standard():
         raise ValueError(f"expansion needs a partition of {{1..n}}, got {pi}")
     if basis == "x":
-        out = NCPolynomial(k)
+        terms = {}
         for sigma in refinements(pi):
-            out = out + mobius(sigma, pi) * expand_nc("p", sigma, k)
-        return out
+            mu = mobius(sigma, pi)
+            for word, c in expand_nc("p", sigma, k).terms.items():
+                terms[word] = terms.get(word, 0) + mu * c
+        return NCPolynomial(k, terms)
     n = pi.size
     index = {x: i for i, blk in enumerate(pi.blocks) for x in blk}
     terms = {}
@@ -224,10 +243,12 @@ def expand_c(basis: str, lam: IntegerPartition, k: int) -> CPolynomial:
         return out
     if basis == "x":
         br = bracket(lam)
-        out = CPolynomial(k)
+        terms = {}
         for sigma in refinements(br):
-            out = out + mobius(sigma, br) * expand_c("p", sigma.shape(), k)
-        return out
+            mu = mobius(sigma, br)
+            for exps, c in expand_c("p", sigma.shape(), k).terms.items():
+                terms[exps] = terms.get(exps, 0) + mu * c
+        return CPolynomial(k, terms)
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -263,13 +284,15 @@ def symmetrize_R(poly: CPolynomial, n: int) -> NCPolynomial:
 
 def position_permute(poly: NCPolynomial, eta: Permutation) -> NCPolynomial:
     """Rearrange word positions: position j receives the letter from eta^{-1}(j)."""
+    n = len(eta)
     inv = eta.inverse()
+    source = [inv(j) - 1 for j in range(1, n + 1)]
     terms = {}
     for word, c in poly.terms.items():
-        if len(word) != len(eta):
+        if len(word) != n:
             raise ValueError(
-                f"permutation of size {len(eta)} cannot act on a degree {len(word)} word"
+                f"permutation of size {n} cannot act on a degree {len(word)} word"
             )
-        new = tuple(word[inv(j) - 1] for j in range(1, len(word) + 1))
+        new = tuple(map(word.__getitem__, source))
         terms[new] = terms.get(new, 0) + c
     return NCPolynomial(poly.k, terms)

@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
-from ncsym import NCSymExpr, SetPartition, checks
+from ncsym import NCSymExpr, SetPartition, checks, expand_nc, monomials, set_partitions
 from ncsym.cli import main
+
+CONVERSIONS = "every basis conversion matches the defining expansions"
+POSITIONS = "position action matches the relabeled expansions"
 
 
 @pytest.mark.parametrize("suite", sorted(checks.SUITES))
@@ -42,6 +47,58 @@ def test_failing_property_reports_its_failures(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  orientation-count route equals the Möbius inversion route" in out
     assert out.endswith("CHECKS FAILED\n")
+
+
+def _oracle(max_n=3):
+    return {r.name: r for r in checks.run_oracle(max_n=max_n, k=3)}
+
+
+def test_oracle_conversions_fail_on_a_half_step(monkeypatch):
+    passing = _oracle()
+    real = checks.convert
+    source = NCSymExpr.element("p", SetPartition.parse("12/3"))
+
+    # one coefficient of one conversion moved by 1/2; p at 12/3 is m at 12/3
+    # plus m at 123, so the sum keeps its support and only a value is wrong
+    def shifted(expr, basis):
+        out = real(expr, basis)
+        if expr == source and basis == "m":
+            terms = dict(out.terms)
+            first = next(iter(terms))
+            terms[first] += Fraction(1, 2)
+            return NCSymExpr(basis, terms)
+        return out
+
+    monkeypatch.setattr(checks, "convert", shifted)
+    failing = _oracle()
+    assert failing[CONVERSIONS] == checks.CheckResult(
+        CONVERSIONS, False, "1 failure(s), first: p->m at 1,2/3"
+    )
+    assert all(failing[name] == passing[name] for name in passing if name != CONVERSIONS)
+
+
+def test_oracle_positions_fail_on_a_wrong_action(monkeypatch):
+    real = monomials.position_permute
+
+    # the permutation in place of its inverse differs on the 3-cycles
+    def wrong(poly, eta):
+        return real(poly, eta.inverse())
+
+    monkeypatch.setattr(monomials, "position_permute", wrong)
+    result = _oracle()[POSITIONS]
+    assert not result.passed
+    assert result.detail.startswith("24 failure(s), first: ")
+
+
+def test_rank_sees_a_fractional_dependence():
+    family = [expand_nc("e", pi, 3) for pi in set_partitions(range(1, 4))]
+    assert checks._rank(family) == len(family)
+    # the first three do not span every word, so a rank that dropped the
+    # denominators would count the last member as new
+    last = Fraction(1, 2) * family[0] - Fraction(2, 3) * family[1] + Fraction(5, 7) * family[2]
+    dependent = family[:3] + [last]
+    assert checks._rank(dependent) == len(dependent) - 1
+    assert checks._rank([Fraction(1, 3) * family[0], family[0]]) == 1
 
 
 def test_run_suite_all():

@@ -7,9 +7,9 @@ partition forms, products (commutative, and noncommutative in m, e and
 mixed bases), coproducts (of e keys, and of x keys: graded, in ``--json``,
 a fractional combination, one ``--split`` component and ``species
 delta``), the conjecture report, the check suites (all of them, and the
-capped degrees of ``x-to-m`` and ``lattice``), the oracle at ``--vars``
-below ``--max-n``, and three inputs that must exit 2, in text and
-``--json``.  The exit-2 cases print nothing on standard output, so their
+capped degrees of ``x-to-m`` and ``lattice``, and ``oracle`` at degree 4
+in text and ``--json``), the oracle at ``--vars`` below ``--max-n``, and
+three inputs that must exit 2, in text and ``--json``.  The exit-2 cases print nothing on standard output, so their
 standard error pins the message.  A change that alters any of them fails
 here.
 """

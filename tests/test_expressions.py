@@ -300,12 +300,13 @@ def test_lift_R_shape_counts():
     for n in range(9):
         by_shape = {}
         for tau in set_partitions(range(1, n + 1)):
-            by_shape[tau.shape()] = by_shape.get(tau.shape(), 0) + 1
-        for lam, count in by_shape.items():
-            assert count == factorial(n) // (
+            by_shape.setdefault(tau.shape(), []).append(tau)
+        for lam, taus in by_shape.items():
+            assert len(taus) == factorial(n) // (
                 lambda_factorial(lam) * lambda_superfactorial(lam)
             )
-            assert len(set_partitions_of_shape(lam)) == count
+            # the same partitions, in the same order, as a tuple
+            assert set_partitions_of_shape(lam) == tuple(taus)
 
 
 def test_x_to_m_top():

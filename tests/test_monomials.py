@@ -149,3 +149,33 @@ def test_truncation_consistency():
                     w: c for w, c in big.terms.items() if all(x <= 3 for x in w)
                 }
                 assert restricted == small.terms
+
+
+def test_coefficients_are_ints_when_integral_and_read_as_fractions():
+    from ncsym import mobius, refinements
+
+    k = 3
+    for pi in set_partitions(range(1, 4)):
+        poly = expand_nc("x", pi, k)
+        # the defining sum accumulated in Fractions, as the terms once were
+        old = {}
+        for sigma in refinements(pi):
+            for word in expand_nc("p", sigma, k).terms:
+                old[word] = old.get(word, Fraction(0)) + Fraction(mobius(sigma, pi))
+        assert poly.terms == {w: c for w, c in old.items() if c}
+        assert all(type(c) is int for c in poly.terms.values())
+        for word in itertools.product(range(1, k + 1), repeat=3):
+            got = poly.coefficient(word)
+            assert type(got) is Fraction and got == old.get(word, 0)
+    lifted = symmetrize_R(CPolynomial(2, {(2, 1): 1}), 3)
+    third = Fraction(1, 3)
+    assert lifted.terms == {(1, 1, 2): third, (1, 2, 1): third, (2, 1, 1): third}
+    assert all(type(c) is Fraction for c in lifted.terms.values())
+    assert (3 * lifted).terms == {w: 1 for w in lifted.terms}
+    assert all(type(c) is int for c in (3 * lifted).terms.values())
+    assert NCPolynomial(2, {(1,): Fraction(4, 2), (2,): Fraction(0)}).terms == {(1,): 2}
+    c_poly = expand_c("x", ip_(2, 1), k)
+    assert all(type(c) is int for c in c_poly.terms.values())
+    assert type(c_poly.coefficient((3, 0, 0))) is Fraction
+    assert type(c_poly.coefficient((0, 0, 0))) is Fraction
+    assert c_poly.coefficient((2, 1, 0)) == Fraction(-2)
