@@ -486,17 +486,18 @@ def permute(eta: Permutation, expr: NCSymExpr) -> NCSymExpr:
 def rho(expr: NCSymExpr) -> _sym.SymExpr:
     """Project onto commuting variables.
 
-    Keys collapse to their shapes; monomial terms pick up the multiplicity
-    superfactorial and elementary terms the part factorial, power sums and
-    extra elements map with scalar one.  x at pi goes to x at the shape of
-    pi because the interval below pi is the product of the partition
-    lattices of its blocks, so the image of x is multiplicative.
+    Keys collapse to their shapes, scaled by ``sym.rho_scalar``: monomial
+    terms pick up the multiplicity superfactorial and elementary terms the
+    part factorial, power sums and extra elements map with scalar one.  x
+    at pi goes to x at the shape of pi because the interval below pi is the
+    product of the partition lattices of its blocks, so the image of x is
+    multiplicative.  ``sym`` reads the same scalars to get every Sym basis
+    change from ``_key_convert``.
     """
-    scale = {"m": lambda_superfactorial, "e": lambda_factorial}.get(expr.basis)
 
     def rule(pi):
         lam = pi.shape()
-        return ((lam, scale(lam) if scale else 1),)
+        return ((lam, _sym.rho_scalar(expr.basis, lam)),)
 
     return _sym.SymExpr(expr.basis, linear(expr.terms, rule))
 

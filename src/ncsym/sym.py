@@ -1,30 +1,28 @@
 """Classical symmetric functions indexed by integer partitions.
 
-The p and e bases reach m by counting: the m-coefficient of p or e at lam
-at gamma is the number of fillings of a table with rows lam and column
-totals gamma (whole parts for p, 0/1 rows for e).  The m-to-p and m-to-e
-tables are these matrices inverted exactly.  The multiplicative x-basis is
-the product over its parts of one-part power sum rows, and p-to-x inverts
-it per degree the same way; composite rows and the operations extend
+Every basis change is the commutative image of the NCSym one.  The
+projection rho sends b at a set partition of shape lam to
+``rho_scalar(b, lam)`` times b at lam: lam^! on m, lam! on e and one on p
+and x (Rosas-Sagan).  So b at lam is rho of the NCSym row of b at
+``bracket(lam)``, divided by b's scalar at lam: each target key collapses
+to its shape and is weighted by the target's scalar there.  x <-> e goes
+through the p row, collapsed to shapes first, so that no one-block x <-> e
+row walks its comparable pairs.  The operations extend their key rules
 through ``combination.linear``/``bilinear``.  The monomial oracle is not
-used here; it expands the same elements as polynomials and checks these
-tables.
+used here; it expands the same elements as polynomials and checks them.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
 
 from .combination import Combination, bilinear, linear
-from .lattice import merge_mobius
 from .limits import check_degree
 from .partitions import (
     IntegerPartition,
+    bracket,
     concat,
-    integer_partitions,
     lambda_factorial,
     lambda_superfactorial,
 )
@@ -69,138 +67,34 @@ class SymExpr(Combination):
         return cls(basis)
 
 
-@lru_cache(maxsize=None)
-def _degree_partitions(n: int) -> tuple:
-    return tuple(integer_partitions(n))
-
-
-@lru_cache(maxsize=None)
-def _to_m(basis: str, n: int) -> dict:
-    """Each degree-n p or e element in m-coordinates.
-
-    The coefficient at gamma counts the fillings of a table with a row per
-    part of lam and column totals gamma: for p every row puts its whole
-    part into one column, for e every row is a 0/1 vector.
-    """
-    parts = _degree_partitions(n)
-    out = {}
-    for lam in parts:
-        row = {}
-        for gam in parts:
-            c = _fillings(basis, lam.parts, gam.parts)
-            if c:
-                row[gam] = c
-        out[lam] = row
-    return out
-
-
-@lru_cache(maxsize=None)
-def _fillings(basis: str, rows: tuple, totals: tuple) -> int:
-    """Fillings of the rows, in order, that use up the column totals exactly.
-
-    Columns are interchangeable, so ``totals`` is kept sorted without zeros.
-    """
-    if not rows:
-        return int(not totals)
-    part, rest = rows[0], rows[1:]
-    if basis == "p":  # the whole part into one column
-        choices, step = [(j,) for j, t in enumerate(totals) if t >= part], part
-    elif basis == "e":  # one unit into each of ``part`` distinct columns
-        choices, step = itertools.combinations(range(len(totals)), part), 1
-    else:
-        raise ValueError(f"no filling rule for basis {basis!r}")
-    count = 0
-    for cols in choices:
-        left = list(totals)
-        for j in cols:
-            left[j] -= step
-        count += _fillings(basis, rest, tuple(sorted(filter(None, left), reverse=True)))
-    return count
-
-
-def _invert_rows(keys: tuple, rows: dict) -> dict:
-    """Invert the square matrix {key -> coordinates over keys} exactly."""
-    n = len(keys)
-    index = {lam: i for i, lam in enumerate(keys)}
-    aug = []
-    for i, lam in enumerate(keys):
-        row = [Fraction(0)] * n
-        for gam, c in rows[lam].items():
-            row[index[gam]] = Fraction(c)
-        aug.append(row + [Fraction(int(i == j)) for j in range(n)])
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("basis matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
-    out = {}
-    for j, gam in enumerate(keys):
-        out[gam] = {
-            keys[i]: aug[j][n + i] for i in range(n) if aug[j][n + i]
-        }
-    return out
-
-
-@lru_cache(maxsize=None)
-def _from_m(basis: str, n: int) -> dict:
-    """Each degree-n monomial element in ``basis`` coordinates."""
-    return _invert_rows(_degree_partitions(n), _to_m(basis, n))
-
-
-@lru_cache(maxsize=None)
-def _x_to_p_key(lam: IntegerPartition) -> dict:
-    """x at ``lam`` in power sums: the product over the parts of one-part rows."""
-    row = {IntegerPartition(): 1}
-    for part in lam.parts:
-        one = _x_to_p_part(part).items()
-        row = linear(row, lambda gam: ((concat(gam, nu), d) for nu, d in one))
-    return row
-
-
-@lru_cache(maxsize=None)
-def _x_to_p_part(n: int) -> dict:
-    """x at (n) in power sums: each shape nu weighted by its number of set
-    partitions times the Möbius value of merging its blocks."""
-    return {
-        nu: factorial(n) // (lambda_factorial(nu) * lambda_superfactorial(nu))
-        * merge_mobius(len(nu.parts))
-        for nu in _degree_partitions(n)
-    }
-
-
-@lru_cache(maxsize=None)
-def _p_to_x(n: int) -> dict:
-    return _invert_rows(
-        _degree_partitions(n), {lam: _x_to_p_key(lam) for lam in _degree_partitions(n)}
-    )
+def rho_scalar(basis: str, lam: IntegerPartition) -> int:
+    """The scalar rho puts on a ``basis`` element at a set partition of shape lam."""
+    if basis == "m":
+        return lambda_superfactorial(lam)
+    if basis == "e":
+        return lambda_factorial(lam)
+    return 1
 
 
 @lru_cache(maxsize=None)
 def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
-    """Coordinates of one basis element in the target basis, as key/value pairs."""
-    if basis == target:
-        return ((lam, Fraction(1)),)
-    n = lam.n
-    if basis == "x":
-        row = _x_to_p_key(lam)
-        if target != "p":
-            row = linear(row, lambda mid: _key_convert_sym("p", target, mid))
-    elif target == "x":
+    """Coordinates of one basis element in the target basis, as key/value
+    pairs: rho of the NCSym row at ``bracket(lam)`` over b's scalar at lam."""
+    if {basis, target} == {"x", "e"}:
         prow = dict(_key_convert_sym(basis, "p", lam))
-        row = linear(prow, lambda mid: _p_to_x(n)[mid].items())
-    elif basis == "m":
-        row = _from_m(target, n)[lam]
-    elif target == "m":
-        row = _to_m(basis, n)[lam]
-    else:
-        row = linear(_to_m(basis, n)[lam], lambda mid: _from_m(target, n)[mid].items())
-    return tuple(row.items())
+        return tuple(linear(prow, partial(_key_convert_sym, "p", target)).items())
+    from .expressions import _key_convert
+
+    shapes = {}
+    for sigma, w in _key_convert(basis, target, bracket(lam)):
+        gam = sigma.shape()
+        shapes[gam] = shapes.get(gam, 0) + w
+    scale = rho_scalar(basis, lam)
+    return tuple(
+        (gam, Fraction(c * rho_scalar(target, gam), scale))
+        for gam, c in shapes.items()
+        if c
+    )
 
 
 def convert_sym(expr: SymExpr, target: str) -> SymExpr:

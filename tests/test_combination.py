@@ -84,8 +84,9 @@ def test_shared_arithmetic(cls, ctx, other_ctx, a, b, mismatch):
 def test_monomial_oracle_shares_no_production_code():
     production = {"expressions", "species", "sym", "parsing", "checks", "combination"}
     assert not imported_names(ncsym.monomials) & production
-    # the Sym tables count fillings; the oracle they are checked against
-    # expands polynomials, so production must not call it
+    # the Sym basis changes are the commutative images of the NCSym tables;
+    # the oracle they are checked against expands polynomials, so
+    # production must not call it
     for module in (ncsym.sym, ncsym.expressions, ncsym.lattice):
         assert "monomials" not in imported_names(module)
     assert not imported_names(ncsym.sym) & {"refinements", "expand_c"}

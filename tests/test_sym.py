@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,9 +15,7 @@ from ncsym import (
     product_sym,
     rho,
 )
-from ncsym.lattice import mobius, refinements
-from ncsym.partitions import bracket
-from ncsym.sym import _degree_partitions, _to_m, _x_to_p_key
+from ncsym.partitions import concat, lambda_factorial, lambda_superfactorial
 
 from conftest import ip_
 
@@ -63,31 +62,33 @@ def test_convert_matches_oracle():
                 assert acc == expand_c(b1, lam, k)
 
 
-def test_to_m_matches_monomial_expansion():
-    for n in range(7):
-        k = max(n, 1)
-        parts = _degree_partitions(n)
-        for basis in "pe":
-            table = _to_m(basis, n)
-            for lam in parts:
-                poly = expand_c(basis, lam, k)
-                read = {}
-                for gam in parts:
-                    c = poly.coefficient(gam.parts + (0,) * (k - len(gam.parts)))
-                    if c:
-                        read[gam] = c
-                assert table[lam] == read, (basis, lam)
+def _x_to_p_one_part(n):
+    """x at (n) in power sums: each shape nu weighted by its number of set
+    partitions times the Möbius value (-1)^(l-1) (l-1)! of merging its l
+    blocks."""
+    return {
+        nu: factorial(n) // (lambda_factorial(nu) * lambda_superfactorial(nu))
+        * (-1) ** (len(nu.parts) - 1)
+        * factorial(len(nu.parts) - 1)
+        for nu in integer_partitions(n)
+    }
 
 
-def test_x_to_p_key_matches_refinement_enumeration():
+def test_x_to_p_matches_one_part_closed_form():
+    # x is multiplicative, so x at lam in power sums is the product over its
+    # parts of one-part rows, which count shapes without enumerating any
+    # set partition
     for n in range(9):
         for lam in integer_partitions(n):
-            br = bracket(lam)
-            want = {}
-            for sigma in refinements(br):
-                gam = sigma.shape()
-                want[gam] = want.get(gam, 0) + mobius(sigma, br)
-            assert _x_to_p_key(lam) == {gam: c for gam, c in want.items() if c}
+            want = {ip_(): 1}
+            for part in lam.parts:
+                step = {}
+                for gam, c in want.items():
+                    for nu, d in _x_to_p_one_part(part).items():
+                        key = concat(gam, nu)
+                        step[key] = step.get(key, 0) + c * d
+                want = step
+            assert convert_sym(s_elt("x", *lam.parts), "p") == SymExpr("p", want), lam
 
 
 def test_product():
@@ -135,7 +136,7 @@ def test_x_basis_unitriangular():
         parts = sorted(integer_partitions(n), key=lambda l: (len(l.parts), l.parts))
         index = {lam: i for i, lam in enumerate(parts)}
         for lam in parts:
-            row = _x_to_p_key(lam)
+            row = convert_sym(SymExpr.element("x", lam), "p").terms
             assert row[lam] == 1
             for gam in row:
                 assert index[gam] >= index[lam]
