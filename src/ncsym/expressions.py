@@ -12,8 +12,11 @@ power sum basis:
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
 The four composites that involve m do not walk the comparable pairs through
-p.  They visit each target nu of the ground set once and read its
-coefficient off the meet or the join with the key:
+p.  One walk over the partitions nu of the key's ground set,
+``_by_signature``, records for each block of nu how many of its elements
+fall in each block of the key.  These counts, the signature, fix the meet
+and the join of the key with nu, so the coefficient is computed once per
+distinct signature and a target is built only when it is nonzero:
 
     e at s   -> m at nu: 1 when the meet of s and nu is the bottom, else 0
     x at pi  -> m at nu: product over blocks B of pi of g(shape of nu on B),
@@ -23,10 +26,12 @@ coefficient off the meet or the join with the key:
     m at tau -> e at nu: the same sum with group weight
                 mu1(tau blocks) mu1(nu blocks) / mu1(size)
 
-where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks.  The join sums depend only
-on the (size, tau blocks, nu blocks) profile of the join's blocks and are
-memoized on it.  x <-> e stays on the pairs through p, so that the interval
-sum of ``x_e_expansion_coefficient`` remains an independent check of it.
+where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks.  The e -> m walk never
+puts two elements of one block of s together, so it visits only the nu with
+a nonzero coefficient.  The join sums depend only on the (size, tau blocks,
+nu blocks) profile of the join's blocks and are memoized on it.  x <-> e
+stays on the pairs through p, so that the interval sum of
+``x_e_expansion_coefficient`` remains an independent check of it.
 
 Each basis change has one memoized table, ``_key_convert``.  Möbius values
 are integers, so the tables hold int coefficients; only the rows into e
@@ -54,7 +59,7 @@ from math import factorial
 from . import sym as _sym
 from .combination import Combination, bilinear, linear
 from .lattice import (
-    _owner_map,
+    _rgs_blocks,
     coarsenings,
     interval,
     merge_mobius,
@@ -174,51 +179,83 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
             (sigma, Fraction(mobius(sigma, pi), lead)) for sigma in refinements(pi)
         )
     if route == ("e", "m"):
-        return _e_to_m(pi)
+        return _by_signature(pi, _e_to_m, distinct=True)
     if route == ("x", "m"):
-        return _x_to_m(pi)
+        return _by_signature(pi, _x_to_m)
     if basis == "m":
-        return _m_to(target, pi)
+        return _by_signature(pi, partial(_m_to, target))
     # x <-> e: every comparable pair through p
     to_p = dict(_key_convert(basis, "p", pi))
     return tuple(linear(to_p, partial(_key_convert, "p", target)).items())
 
 
-def _e_to_m(s: SetPartition) -> tuple:
-    """m at nu has coefficient one exactly when the meet of s and nu is the
-    bottom: no block of nu holds two elements of one block of s."""
-    owner = _owner_map(s)
+def _by_signature(pi: SetPartition, coefficient, distinct: bool = False) -> tuple:
+    """(nu, c) for every partition nu of pi's ground set with a nonzero
+    c = coefficient(width, signature), in ``set_partitions`` order.
+
+    The signature records, for each block of nu, how many of its elements
+    fall in each block of pi: one int per block of nu, the count for block
+    i of pi in bits [width * i, width * (i + 1)), the ints sorted.  The
+    coefficient is computed once per distinct signature.  ``distinct`` skips
+    every nu with two elements of one block of pi in one block.
+    """
+    width = pi.size.bit_length()
+    field = {x: 1 << width * i for i, blk in enumerate(pi.blocks) for x in blk}
+    elems = sorted(pi.ground)
+    unit = [field[x] for x in elems]
+    seen = {}
+    out = []
+    for blocks, words in _rgs_blocks(elems, unit, unit if distinct else None):
+        sig = tuple(sorted(words))
+        c = seen.get(sig)
+        if c is None:
+            c = seen[sig] = coefficient(width, sig)
+        if c:
+            out.append((SetPartition._trusted(blocks, pi.ground), c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _fields(width: int, word: int) -> tuple:
+    """(i, count) for every nonzero count packed in a signature word."""
+    low = (1 << width) - 1
     return tuple(
-        (nu, 1)
-        for nu in set_partitions(s.ground)
-        if all(len({owner[x] for x in blk}) == len(blk) for blk in nu.blocks)
+        (i, word >> width * i & low)
+        for i in range(-(-word.bit_length() // width))
+        if word >> width * i & low
     )
 
 
-def _x_to_m(pi: SetPartition) -> tuple:
-    """m at nu has coefficient prod over blocks B of pi of g(shape of nu on B).
+@lru_cache(maxsize=None)
+def _support(width: int, word: int) -> tuple:
+    """(bit mask of the nonzero fields, sum of the fields) of a signature word."""
+    fields = _fields(width, word)
+    return sum(1 << i for i, _ in fields), sum(c for _, c in fields)
+
+
+def _e_to_m(width: int, sig: tuple) -> int:
+    """e at s -> m at nu: one when the meet of s and nu is the bottom, that
+    is every block of nu meets as many blocks of s as it has elements."""
+    supports = (_support(width, word) for word in sig)
+    return int(all(mask.bit_count() == size for mask, size in supports))
+
+
+def _x_to_m(width: int, sig: tuple) -> int:
+    """x at pi -> m at nu: the product over blocks B of pi of g(shape of nu
+    on B).
 
     The p-route coefficient sum of mu(sigma, pi) over sigma below the meet
     of pi and nu factors over the blocks of pi.
     """
-    owner = _owner_map(pi)
-    out = []
-    for nu in set_partitions(pi.ground):
-        traces = [[] for _ in pi.blocks]
-        for blk in nu.blocks:
-            hits = {}
-            for x in blk:
-                hits[owner[x]] = hits.get(owner[x], 0) + 1
-            for i, c in hits.items():
-                traces[i].append(c)
-        coeff = 1
-        for sizes in traces:
-            coeff *= _top_refinement_sum(tuple(sorted(sizes)))
-            if not coeff:
-                break
-        if coeff:
-            out.append((nu, coeff))
-    return tuple(out)
+    traces = {}
+    for word in sig:
+        for i, c in _fields(width, word):
+            traces.setdefault(i, []).append(c)
+    coeff = 1
+    for sizes in traces.values():
+        sizes.sort()
+        coeff *= _top_refinement_sum(tuple(sizes))
+    return coeff
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +265,8 @@ def _top_refinement_sum(sizes: tuple) -> int:
     return sum(c * merge_mobius(j) for j, c in enumerate(refinement_counts(sizes)) if c)
 
 
-def _m_to(target: str, tau: SetPartition) -> tuple:
-    """m at tau in x or e, one join per target nu.
+def _m_to(target: str, width: int, sig: tuple) -> int | Fraction:
+    """m at tau -> x or e at nu, from the join of tau and nu.
 
     The p-route coefficient at nu sums mu(tau, sigma) (x) or
     mu(tau, sigma) mu(nu, sigma) / mu(bottom, sigma) (e) over the sigma
@@ -237,31 +274,20 @@ def _m_to(target: str, tau: SetPartition) -> tuple:
     the sum depends only on the (size, tau blocks, nu blocks) profile of
     the join's blocks.
     """
-    # join blocks as bit masks over the blocks of tau, each with its nu-block count
-    bit = {x: 1 << i for i, blk in enumerate(tau.blocks) for x in blk}
-    size = {}  # join block mask -> its number of elements
-    out = []
-    for nu in set_partitions(tau.ground):
-        joined = {}
-        for blk in nu.blocks:
-            mask, v = 0, 1
-            for x in blk:
-                mask |= bit[x]
-            for other in [m for m in joined if m & mask]:
-                mask |= other
-                v += joined.pop(other)
-            joined[mask] = v
-        profile = []
-        for mask, v in joined.items():
-            if mask not in size:
-                size[mask] = sum(
-                    len(blk) for i, blk in enumerate(tau.blocks) if mask >> i & 1
-                )
-            profile.append((size[mask], mask.bit_count(), v))
-        coeff = _coarsening_sum(target, tuple(sorted(profile)))
-        if coeff:
-            out.append((nu, coeff))
-    return tuple(out)
+    joined = []  # (mask over the blocks of tau, size, nu blocks) per join block
+    for word in sig:
+        mask, size = _support(width, word)
+        v = 1
+        apart = []
+        for other in joined:
+            if other[0] & mask:
+                mask, size, v = mask | other[0], size + other[1], v + other[2]
+            else:
+                apart.append(other)
+        apart.append((mask, size, v))
+        joined = apart
+    profile = sorted((size, mask.bit_count(), v) for mask, size, v in joined)
+    return _coarsening_sum(target, tuple(profile))
 
 
 @lru_cache(maxsize=None)

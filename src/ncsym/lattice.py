@@ -71,7 +71,8 @@ def set_partitions(ground):
 
     Enumeration follows restricted growth strings in lexicographic order
     over the sorted ground set, so the one-block partition comes first and
-    the all-singletons partition last.  Memory use is constant.
+    the all-singletons partition last.  The walk keeps one partial
+    partition, so memory grows with the ground set, not with the output.
     """
     elems = sorted(ground)
     if elems:
@@ -81,32 +82,48 @@ def set_partitions(ground):
         yield SetPartition._trusted(blocks, universe)
 
 
-def _rgs_blocks(elems):
+def _rgs_blocks(elems, unit=None, clash=None):
     """The canonical block tuples of the partitions of a sorted sequence,
-    in the order of ``set_partitions``."""
+    in the order of ``set_partitions``.
+
+    One depth-first walk keeps a single partial partition: the next element
+    joins each open block in turn and then opens a new one, which visits
+    the restricted growth strings in lexicographic order (Knuth, TAOCP 4A,
+    7.2.1.5).  Given ``unit``, one int per element, every block carries a
+    word, the sum of ``unit`` over its elements, and the walk yields
+    (blocks, words) pairs; an element never joins a block whose word
+    shares a bit with its entry of ``clash``.
+    """
     n = len(elems)
-    if n == 0:
-        yield ()
+    if n < 2:
+        blocks = (tuple(elems),) if n else ()
+        yield blocks if unit is None else (blocks, tuple(unit))
         return
-    rgs = [0] * n
-    # prefix[i] is max(rgs[:i]); the successor step advances the rightmost
-    # entry that does not exceed its prefix maximum and zeroes the rest.
-    prefix = [0] * n
-    while True:
-        blocks = [[] for _ in range(max(prefix[-1], rgs[-1]) + 1)]
-        for x, b in zip(elems, rgs):
-            blocks[b].append(x)
-        yield tuple(map(tuple, blocks))
-        i = n - 1
-        while i > 0 and rgs[i] > prefix[i]:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        top = max(prefix[i], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            prefix[j] = top
+    words_out = unit is not None
+    unit = unit or (0,) * n
+    clash = clash or (0,) * n
+    blocks, words = [(elems[0],)], [unit[0]]
+    last = n - 1
+
+    def walk(i):
+        x, u, c = elems[i], unit[i], clash[i]
+        for b in range(len(blocks) + 1):
+            if b == len(blocks):  # open a new block
+                blocks.append(())
+                words.append(0)
+            blk, w = blocks[b], words[b]
+            if w & c:
+                continue
+            blocks[b], words[b] = blk + (x,), w + u
+            if i < last:
+                yield from walk(i + 1)
+            else:
+                yield (tuple(blocks), tuple(words)) if words_out else tuple(blocks)
+            blocks[b], words[b] = blk, w
+        blocks.pop()
+        words.pop()
+
+    yield from walk(1)
 
 
 def refinements(pi: SetPartition):

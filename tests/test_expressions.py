@@ -21,6 +21,7 @@ from ncsym import (
     expand_nc,
     integer_partitions,
     lift_R,
+    meet,
     omega,
     permute,
     product,
@@ -34,7 +35,7 @@ from ncsym import (
     x_to_m_top,
     x_top_coproduct_coefficient,
 )
-from ncsym import checks, expressions, graphs, lattice, species
+from ncsym import checks, expressions, graphs, lattice, monomials, species
 from ncsym.expressions import BASES, _key_convert
 
 from conftest import elt, imported_names, ip_, sp_
@@ -343,11 +344,31 @@ COMPOSITES = (("e", "m"), ("x", "m"), ("m", "x"), ("m", "e"))
 def test_composite_tables_match_two_stage_reference():
     keys = [pi for n in range(7) for pi in set_partitions(range(1, n + 1))]
     keys += random.Random(7).sample(list(set_partitions(range(1, 8))), 6)
+    # at n = 8 each packed signature field is 4 bits wide
+    keys += [sp_("1,5/2,6/3,7/4,8")]
     for pi in keys:
         for basis, target in COMPOSITES:
             table = _key_convert(basis, target, pi)
             assert len({tau for tau, _ in table}) == len(table)
             assert dict(table) == _two_stage(basis, target, pi), (basis, target, pi)
+
+
+def test_e_to_m_builds_only_its_output_partitions(monkeypatch):
+    s = sp_("1,2,3,4/5,6/7/8")
+    built = []
+    trusted = SetPartition._trusted.__func__
+
+    def counting(cls, blocks, ground):
+        built.append(blocks)
+        return trusted(cls, blocks, ground)
+
+    monkeypatch.setattr(SetPartition, "_trusted", classmethod(counting))
+    table = _key_convert.__wrapped__("e", "m", s)
+    assert len(built) == len(table) == 658
+    bottom = SetPartition.singletons(range(1, 9))
+    want = {nu for nu in set_partitions(range(1, 9)) if meet(s, nu) == bottom}
+    assert {nu for nu, _ in table} == want
+    assert {c for _, c in table} == {1}
 
 
 def test_convert_accumulates_over_a_common_denominator():
@@ -418,6 +439,21 @@ def test_oracle_routes_stay_independent():
         "_top_refinement_sum",
         "refinement_counts",
     }
+    # the basis changes that involve m read their coefficients off one
+    # signature walk; the routes they are checked against never reach it
+    signature_route = {"_by_signature", "_e_to_m", "_x_to_m", "_m_to"}
+    assert signature_route <= _reachable_names(expressions, "_key_convert")
+    for name in ("x_to_m_top", "x_e_expansion_coefficient"):
+        assert not _reachable_names(expressions, name) & signature_route, name
+    for name in (
+        "bell_triangle",
+        "_mobius_recursion",
+        "_lattice_streams",
+        "_stable_partitions",
+        "_chromatic_values",
+    ):
+        assert not _reachable_names(checks, name) & signature_route, name
+    assert "expressions" not in imported_names(monomials)
     # x <-> e stays on the pairs through p; the conjecture report compares it
     # with the interval sum, which must not use the tables
     assert not _reachable_names(expressions, "_key_convert") & {

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from ncsym import (
     slash,
 )
 from ncsym.checks import bell_triangle
-from ncsym.lattice import merge_mobius, refinement_counts
+from ncsym.lattice import _rgs_blocks, merge_mobius, refinement_counts
 from ncsym.partitions import bracket, integer_partitions
 from ncsym.expressions import _bottom
 
@@ -55,6 +56,63 @@ def test_enumeration_order_and_counts():
     for n in range(7):
         seen = list(set_partitions(range(1, n + 1)))
         assert len(seen) == len(set(seen)) == bells[n]
+
+
+def _rgs_reference(elems, unit=None, clash=None):
+    """(blocks, words) for every itertools.product sequence that is a
+    restricted growth string, in lexicographic order, dropping those where
+    an element joins a block whose earlier elements' units meet its clash."""
+    n = len(elems)
+    unit = unit or [0] * n
+    clash = clash or [0] * n
+    at = {x: i for i, x in enumerate(elems)}
+    out = []
+    # entry i of a restricted growth string is at most i
+    for seq in itertools.product(*(range(i + 1) for i in range(n))):
+        if any(seq[i] > max(seq[:i]) + 1 for i in range(1, n)):
+            continue
+        blocks = tuple(
+            tuple(x for x, b in zip(elems, seq) if b == j)
+            for j in range(max(seq, default=-1) + 1)
+        )
+        if any(
+            sum(unit[at[y]] for y in blk[:k]) & clash[at[x]]
+            for blk in blocks
+            for k, x in enumerate(blk)
+        ):
+            continue
+        words = tuple(sum(unit[at[x]] for x in blk) for blk in blocks)
+        out.append((blocks, words))
+    return out
+
+
+WALK_GROUNDS = [tuple(range(1, n + 1)) for n in range(8)] + [
+    (4,),
+    (2, 5, 11, 13, 20),
+    (3, 7, 10, 12, 15, 16),
+]
+
+
+@pytest.mark.parametrize("elems", WALK_GROUNDS, ids=str)
+def test_partition_walk_matches_brute_force(elems):
+    reference = _rgs_reference(elems)
+    assert list(_rgs_blocks(elems)) == [blocks for blocks, _ in reference]
+    # the signature units of keys on the ground: one packed count field of
+    # n.bit_length() bits per key block; the one-block key of size 3 or 7
+    # fills its field, and with clash = unit it leaves only the bottom
+    width = len(elems).bit_length()
+    keys = [[elems], [(x,) for x in elems], [elems[::2], elems[1::2]], [elems[:3], elems[3:]]]
+    for key in keys:
+        owner = {x: i for i, blk in enumerate(key) for x in blk}
+        unit = [1 << width * owner[x] for x in elems]
+        assert list(_rgs_blocks(elems, unit)) == _rgs_reference(elems, unit)
+        skipped = _rgs_reference(elems, unit, unit)
+        assert list(_rgs_blocks(elems, unit, unit)) == skipped
+    if elems:
+        ones = [1] * len(elems)
+        assert next(_rgs_blocks(elems, ones)) == ((elems,), (len(elems),))
+        bottom = (tuple((x,) for x in elems), tuple(ones))
+        assert list(_rgs_blocks(elems, ones, ones)) == [bottom]
 
 
 def _assert_canonical(p):
