@@ -116,6 +116,8 @@ class Combination:
         return getattr(parsing, self._FORMAT)(self)
 
     def __add__(self, other):
+        if isinstance(other, Combination) and type(other) is not type(self):
+            return NotImplemented  # no operator mixes combination types
         other = self._coerce(other)
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -129,10 +131,10 @@ class Combination:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self.__add__((-1) * other)
 
     def __rsub__(self, other):
-        return (-1) * self + other
+        return ((-1) * self).__add__(other)
 
     def __neg__(self):
         return self.scale(-1)
@@ -142,8 +144,8 @@ class Combination:
 
     def __mul__(self, other):
         if isinstance(other, Combination):
-            return self._product(other)
+            return self._product(other) if type(other) is type(self) else NotImplemented
         return self.scale(other)
 
     def __rmul__(self, other):
-        return self.scale(other)
+        return NotImplemented if isinstance(other, Combination) else self.scale(other)

@@ -43,10 +43,10 @@ Every Hopf operation uses its basis's own rule; p is a hub only for
 multiplicative p, x and e bases, and on m the species matching rule
 ``species.mu_key`` at the shifted second key.  The coproduct is the graded
 collapse of the Hopf monoid in `species`: the coproduct components summed
-over every ordered split of the ground set, with both legs standardized.  On
-m and p this reduces to splitting whole blocks between the legs; x sums the
-species components; e pairs the restrictions to the two parts at every
-split.
+over every ordered split of the ground set, with both legs standardized,
+computed block by block with the one split rule of `species`: m and p send
+each block whole to one leg, e splits it, x splits it into weighted pairs of
+partitions.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .partitions import (
     lambda_superfactorial,
     slash,
 )
-from .species import c_coefficient, delta_key, mu_key
+from .species import _split_terms, c_coefficient, mu_key
 
 BASES = ("m", "p", "e", "x")
 
@@ -355,42 +355,22 @@ def _key_coproduct(basis: str, pi: SetPartition) -> tuple:
     """Coproduct of one basis element over standardized leg pairs.
 
     The graded coproduct is the sum of the species components over every
-    ordered split of the ground set, legs standardized.
-    m, p: only splits into unions of blocks have a component, so the sum
-       runs over the subsets of blocks instead of the ground splits.
-    x: the species components at every split.
-    e: the pair of restrictions to the two parts at every split.
-    Each distinct leg of x and e is standardized once.
+    ordered split of the ground set, legs standardized: the rule
+    ``species._split_terms`` with every subset of each block of pi as its
+    left part.  Each distinct leg is standardized once.
     """
-    out = {}
-    if basis in ("m", "p"):
-        l = len(pi.blocks)
-        for r in range(l + 1):
-            for chosen in itertools.combinations(range(l), r):
-                in1 = set(chosen)
-                left = SetPartition(pi.blocks[i] for i in chosen).standardize()
-                right = SetPartition(
-                    pi.blocks[i] for i in range(l) if i not in in1
-                ).standardize()
-                key = (left, right)
-                out[key] = out.get(key, 0) + 1
-        return tuple(out.items())
-    elems = sorted(pi.ground)
-    standard = {}
-    for r in range(len(elems) + 1):
-        for chosen in itertools.combinations(elems, r):
-            s1 = frozenset(chosen)
-            s2 = pi.ground - s1
-            if basis == "x":
-                components = delta_key("x", pi, s1, s2)
-            else:
-                components = (((pi.restrict(s1), pi.restrict(s2)), 1),)
-            for (left, right), w in components:
-                for leg in (left, right):
-                    if leg not in standard:
-                        standard[leg] = leg.standardize()
-                key = (standard[left], standard[right])
-                out[key] = out.get(key, 0) + w
+    lefts = [
+        [c for r in range(len(blk) + 1) for c in itertools.combinations(blk, r)]
+        for blk in pi.blocks
+    ]
+    standard, out = {}, {}
+    for left, right, w in _split_terms(basis, pi, lefts):
+        for leg in (left, right):
+            if leg not in standard:
+                ground = frozenset(itertools.chain.from_iterable(leg))
+                standard[leg] = SetPartition._trusted(leg, ground).standardize()
+        key = (standard[left], standard[right])
+        out[key] = out.get(key, 0) + w
     return tuple((k, v) for k, v in out.items() if v)
 
 

@@ -5,17 +5,16 @@ element is a sparse combination of partitions of one declared ground set in
 one of the m, p, x bases.  Products and coproducts are indexed by ordered
 decompositions of the ground set.  This module holds the only implementation
 of the product and coproduct component rules (`mu_key`, `delta_key`) and of
-the splitting coefficients (`c_coefficient`).  The x component factors over
-the blocks of pi: the coefficient of a leg pair is the product over the
-blocks P of pi of a weight that depends only on how many leg blocks lie in
-P on each side (`_x_weight`).  `c_coefficient` sums Möbius values over the
-interval instead, and is the independent route to the same coefficients.
-The graded product in
-`expressions` applies `mu_key` to the second key shifted past the first on
-m; the graded coproduct, and so `fock_coproduct`, is the standardized sum of
-the components over every ordered split of {1..n}.  e is not a species
-basis: its graded product concatenates keys and its coproduct pairs the
-restrictions at every split.
+the splitting coefficients (`c_coefficient`).  Every coproduct term, graded
+or species, is a product over the blocks of pi of one choice per block
+(`_block_splits`): m and p send the block whole to one leg, e splits it into
+its two parts, and x takes a pair of partitions of the parts, weighted by
+their block counts (`_x_weight`).  `c_coefficient` sums Möbius values over
+the interval instead, the independent route to the x coefficients.  The
+graded product in `expressions` applies `mu_key` to the second key shifted
+past the first on m; the graded coproduct, and so `fock_coproduct`, lets
+every subset of each block be its left part and standardizes the legs.  e
+is not a species basis: its graded product concatenates keys.
 """
 
 from __future__ import annotations
@@ -101,10 +100,6 @@ def relabel(mapping: dict, v: SpeciesElement) -> SpeciesElement:
     )
 
 
-def _split_respecting(pi: SetPartition, s1: frozenset) -> bool:
-    return all(set(blk) <= s1 or not (set(blk) & s1) for blk in pi.blocks)
-
-
 def mu_key(basis: str, a: SetPartition, b: SetPartition):
     """Product of two basis elements on disjoint ground sets.
 
@@ -144,32 +139,53 @@ def species_mu(a: SpeciesElement, b: SpeciesElement) -> SpeciesElement:
 def delta_key(basis: str, pi: SetPartition, s1: frozenset, s2: frozenset):
     """Coproduct component of one basis element at the decomposition (s1, s2).
 
-    Yields ((left, right), weight) with nonzero integer weights.  m and p:
-    the pair of restrictions when every block lies inside s1 or s2.  x: the
-    pairs of refinements of the restrictions, each weighted by the product
-    over the blocks P of pi of ``_x_weight(l, r)``, where l and r count the
-    left and right leg blocks inside P.  The interval sum `c_coefficient` is
-    the independent route to the same coefficients.
+    Yields ((left, right), weight) with nonzero integer weights: the rule
+    ``_split_terms`` with the left part of each block of pi fixed by s1.
+    The interval sum `c_coefficient` is the independent route to the x
+    coefficients.
     """
-    if basis in ("m", "p"):
-        if _split_respecting(pi, s1):
-            yield (pi.restrict(s1), pi.restrict(s2)), 1
-        return
-    per_block = []
-    for blk in pi.blocks:
-        rights = list(_rgs_blocks([x for x in blk if x not in s1]))
-        pairs = [
-            (left, right, w)
-            for left in _rgs_blocks([x for x in blk if x in s1])
-            for right in rights
-            if (w := _x_weight(len(left), len(right)))
-        ]
-        per_block.append(pairs)
+    lefts = [(tuple(x for x in blk if x in s1),) for blk in pi.blocks]
+    for left, right, w in _split_terms(basis, pi, lefts):
+        yield (SetPartition._trusted(left, s1), SetPartition._trusted(right, s2)), w
+
+
+def _block_splits(basis: str, blk: tuple, left: tuple) -> list:
+    """The choices for one block of pi whose elements in ``left`` go to the
+    first leg: (left leg blocks, right leg blocks, weight) triples.
+
+    m, p: the block goes whole to one leg, so a straddled block has none.
+    e: the block splits into its two parts.  x: every pair of partitions of
+    the two parts, weighted by ``_x_weight`` of their block counts.
+    """
+    right = tuple(x for x in blk if x not in left)
+    if basis != "x":
+        legs = ((left,) if left else (), (right,) if right else (), 1)
+        return [legs] if basis == "e" or not (left and right) else []
+    rights = list(_rgs_blocks(right))
+    return [
+        (lb, rb, w)
+        for lb in _rgs_blocks(left)
+        for rb in rights
+        if (w := _x_weight(len(lb), len(rb)))
+    ]
+
+
+def _split_terms(basis: str, pi: SetPartition, lefts):
+    """Every coproduct term of pi as a product of one choice per block.
+
+    ``lefts`` lists, for each block of pi, the parts of it that may go to
+    the first leg.  Yields (left blocks, right blocks, weight): the legs
+    assembled from one ``_block_splits`` choice per block, both canonical,
+    and the product of the choices' weights.
+    """
+    per_block = [
+        [c for left in parts for c in _block_splits(basis, blk, left)]
+        for blk, parts in zip(pi.blocks, lefts)
+    ]
     for combo in itertools.product(*per_block):
         left = tuple(sorted(itertools.chain.from_iterable(c[0] for c in combo)))
         right = tuple(sorted(itertools.chain.from_iterable(c[1] for c in combo)))
-        key = (SetPartition._trusted(left, s1), SetPartition._trusted(right, s2))
-        yield key, prod(c[2] for c in combo)
+        yield left, right, prod(c[2] for c in combo)
 
 
 @lru_cache(maxsize=None)

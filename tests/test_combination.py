@@ -1,4 +1,5 @@
 import ast
+import operator
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +65,7 @@ def test_shared_arithmetic(cls, ctx, other_ctx, a, b, mismatch):
     assert (u + v).terms == {b: Fraction(4, 3)}
     assert u - v == cls(*ctx, {a: 4, b: Fraction(-2, 3)})
     assert u.scale(3) == 3 * u == u * 3 == cls(*ctx, {a: 6, b: 1})
+    assert Fraction(3, 2) * u == u * 1.5 == cls(*ctx, {a: 3, b: Fraction(1, 2)})
     assert -u == cls(*ctx, {a: -2, b: Fraction(-1, 3)})
     assert (u - u).is_zero()
     assert cls(*ctx, {a: 0, b: 1}).terms == {b: 1}
@@ -79,6 +81,21 @@ def test_shared_arithmetic(cls, ctx, other_ctx, a, b, mismatch):
     else:
         with pytest.raises(ValueError, match=re.escape(mismatch)):
             u + cls(*other_ctx)
+
+
+ELEMENTS = {case[0].__name__: case[0](*case[1], {case[3]: 1}) for case in CASES}
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@pytest.mark.parametrize("symbol", OPERATORS)
+@pytest.mark.parametrize(
+    "left, right", [(a, b) for a in ELEMENTS for b in ELEMENTS if a != b]
+)
+def test_mixed_types_raise_type_error(left, right, symbol):
+    # no operator mixes combination types; Python's own TypeError names both
+    message = f"unsupported operand type(s) for {symbol}: '{left}' and '{right}'"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        OPERATORS[symbol](ELEMENTS[left], ELEMENTS[right])
 
 
 def test_monomial_oracle_shares_no_production_code():

@@ -195,8 +195,43 @@ def test_x_coproduct_coefficient():
                 )
 
 
+def _coproduct_by_restriction(basis, pi):
+    """Reference graded coproduct of m, p or e at pi: the pair of
+    restrictions at every ordered split of the ground set, legs
+    standardized; m and p skip the splits that cut a block."""
+    elems = sorted(pi.ground)
+    terms = {}
+    for r in range(len(elems) + 1):
+        for s1 in itertools.combinations(elems, r):
+            left = pi.restrict(s1)
+            right = pi.restrict(x for x in elems if x not in s1)
+            if basis != "e" and len(left) + len(right) > len(pi):
+                continue  # a block straddles the split
+            key = (left.standardize(), right.standardize())
+            terms[key] = terms.get(key, 0) + 1
+    return NCTensorExpr(basis, terms)
+
+
+def test_coproduct_matches_independent_routes():
+    # the block rule against every ordered split for m, p and e, and against
+    # the interval-sum coefficient for every leg pair of x
+    for n in range(6):
+        for pi in set_partitions(range(1, n + 1)):
+            for basis in "mpe":
+                want = _coproduct_by_restriction(basis, pi)
+                assert coproduct(NCSymExpr.element(basis, pi)) == want, (basis, pi)
+            if n > 4:
+                continue
+            t = coproduct(NCSymExpr.element("x", pi))
+            for a in range(n + 1):
+                for sigma in set_partitions(range(1, a + 1)):
+                    for tau in set_partitions(range(1, n - a + 1)):
+                        want = x_coproduct_coefficient(pi, sigma, tau)
+                        assert t.coefficient(sigma, tau) == want, (pi, sigma, tau)
+
+
 def test_coproduct_m_basis_round_trip():
-    # the block-subset m coproduct agrees with the p coproduct converted back
+    # the m coproduct agrees with the p coproduct converted back
     for pi in set_partitions(range(1, 4)):
         direct = coproduct(NCSymExpr.element("m", pi))
         via = tensor_convert(coproduct(convert(NCSymExpr.element("m", pi), "p")), "m")
@@ -464,19 +499,24 @@ def test_oracle_routes_stay_independent():
         "_key_convert",
         "convert",
     }
-    # the x coproduct rule multiplies block weights; the interval sum and
-    # the checks that compare with it never read that weight table
-    assert not _reachable_names(species, "delta_key") & {
-        "mobius",
-        "interval",
-        "refinements",
-        "c_coefficient",
-    }
-    assert "_x_weight" in _reachable_names(species, "delta_key")
-    assert not _reachable_names(species, "c_coefficient") & {"_x_weight", "delta_key"}
+    # every coproduct, graded or species, multiplies the block choices of
+    # one split rule, which reads the x block weights; the interval sums and
+    # the check that compare with it never reach that rule or those weights
+    split_rule = {"_split_terms", "_block_splits", "_x_weight"}
+    assert "_split_terms" in _reachable_names(expressions, "_key_coproduct")
+    assert {"_block_splits", "_x_weight"} <= _reachable_names(species, "_split_terms")
+    assert split_rule <= _reachable_names(species, "delta_key")
+    interval_route = {"mobius", "interval", "refinements", "c_coefficient"}
+    assert not _reachable_names(species, "delta_key") & interval_route
+    assert not _reachable_names(expressions, "_key_coproduct") & (
+        interval_route | {"x_coproduct_coefficient"}
+    )
+    assert not _reachable_names(species, "c_coefficient") & (split_rule | {"delta_key"})
     for name in ("x_coproduct_coefficient", "x_top_coproduct_coefficient"):
-        assert not _reachable_names(expressions, name) & {"_x_weight", "delta_key"}, name
-    assert "_x_weight" not in _reachable_names(checks, "_species_x_coproduct")
+        assert not _reachable_names(expressions, name) & (
+            split_rule | {"delta_key", "_key_coproduct"}
+        ), name
+    assert not _reachable_names(checks, "_species_x_coproduct") & split_rule
 
 
 def test_hopf_operations_use_their_own_rules():
