@@ -2,6 +2,12 @@
 
 Exit codes: 0 on success, 1 when a property check fails, 2 on usage, parse,
 or domain errors.
+
+``main(argv)`` returns the exit code and may be called any number of times
+in one process: the argument parser is built on the first call and reused,
+and each request renders its result only in the form it asked for (text, or
+``--json``).  What depends on the environment, such as the degree cap, is
+read again on every call.
 """
 
 from __future__ import annotations
@@ -54,38 +60,36 @@ def _parse_int_set(text: str) -> frozenset:
         raise ParseError(f"malformed element set {text!r}", 0) from None
 
 
-def _emit(args, text_value: str, json_value) -> None:
+def _emit(args, value, text, to_json) -> None:
+    """Print ``value`` as ``to_json(value)`` under --json, else as ``text(value)``."""
     if getattr(args, "json", False):
-        print(json.dumps(json_value, indent=2, sort_keys=True))
+        print(json.dumps(to_json(value), indent=2, sort_keys=True))
     else:
-        print(text_value)
+        print(text(value))
 
 
 def _cmd_convert(args) -> int:
     if args.sym:
-        expr = convert_sym(parse_sym(args.expr), args.to)
-        _emit(args, format_sym(expr), sym_json(expr))
+        _emit(args, convert_sym(parse_sym(args.expr), args.to), format_sym, sym_json)
     else:
-        expr = convert(parse_ncsym(args.expr), args.to)
-        _emit(args, format_ncsym(expr), ncsym_json(expr))
+        _emit(args, convert(parse_ncsym(args.expr), args.to), format_ncsym, ncsym_json)
     return 0
 
 
 def _cmd_product(args) -> int:
     if args.sym:
         result = product_sym(parse_sym(args.left), parse_sym(args.right))
-        _emit(args, format_sym(result), sym_json(result))
+        _emit(args, result, format_sym, sym_json)
     else:
         result = product(parse_ncsym(args.left), parse_ncsym(args.right))
-        _emit(args, format_ncsym(result), ncsym_json(result))
+        _emit(args, result, format_ncsym, ncsym_json)
     return 0
 
 
 def _cmd_coproduct(args) -> int:
     expr = parse_ncsym(args.expr)
     if args.split is None:
-        t = coproduct(expr)
-        _emit(args, format_nctensor(t), nctensor_json(t))
+        _emit(args, coproduct(expr), format_nctensor, nctensor_json)
         return 0
     grounds = {pi.ground for pi in expr.terms}
     if len(grounds) > 1:
@@ -98,20 +102,20 @@ def _emit_split(args, ground: frozenset, basis: str, terms: dict) -> int:
     """The species coproduct component with the --split part as first leg."""
     s1 = _parse_int_set(args.split)
     t = species_delta(SpeciesElement(ground, basis, terms), s1, ground - s1)
-    _emit(args, format_species_tensor(t), species_tensor_json(t))
+    _emit(args, t, format_species_tensor, species_tensor_json)
     return 0
 
 
 def _cmd_mobius(args) -> int:
     value = mobius(SetPartition.parse(args.finer), SetPartition.parse(args.coarser))
-    _emit(args, str(value), {"value": value})
+    _emit(args, value, str, lambda v: {"value": v})
     return 0
 
 
 def _cmd_species(args) -> int:
     if args.species_op == "mu":
         result = species_mu(parse_species(args.left), parse_species(args.right))
-        _emit(args, format_species(result), species_json(result))
+        _emit(args, result, format_species, species_json)
         return 0
     v = parse_species(args.expr)
     return _emit_split(args, v.ground, v.basis, v.terms)
@@ -121,8 +125,8 @@ def _cmd_graph(args) -> int:
     sigma = SetPartition.parse(args.sigma)
     graph = MultipartiteGraph(sigma)
     if args.stable:
-        taus = list(stable_partitions(graph))
-        _emit(args, "\n".join(str(t) for t in taus), [str(t) for t in taus])
+        taus = [str(t) for t in stable_partitions(graph)]
+        _emit(args, taus, "\n".join, list)
         return 0
     if args.orientations is not None:
         sink = args.orientations
@@ -130,17 +134,13 @@ def _cmd_graph(args) -> int:
             count = count_acyclic_unique_sink_by_enumeration(sigma, sink)
         else:
             count = count_acyclic_unique_sink(sigma, sink)
-        _emit(
-            args,
-            str(count),
-            {"sink": sink, "method": args.method, "count": count},
-        )
+        _emit(args, count, str, lambda c: {"sink": sink, "method": args.method, "count": c})
         return 0
-    chi = chromatic_polynomial(graph)
     _emit(
         args,
-        str(chi),
-        {"coefficients": chi.coefficients(), "stable_counts": chi.counts},
+        chromatic_polynomial(graph),
+        str,
+        lambda chi: {"coefficients": chi.coefficients(), "stable_counts": chi.counts},
     )
     return 0
 
@@ -312,9 +312,16 @@ def _check_arguments(args) -> None:
         raise ValueError(f"--vars must be at least 1, got {k}")
 
 
+# The parser of this process, built by the first ``main`` call.  Parsing
+# keeps no state in it: every call gets a fresh namespace.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         _check_arguments(args)
         return args.func(args)

@@ -74,7 +74,7 @@ class Combination:
         clean = {}
         for key, coeff in (terms or {}).items():
             self._check_key(key)
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
                 clean[key] = c
         self.terms = clean

@@ -83,6 +83,18 @@ def test_shared_arithmetic(cls, ctx, other_ctx, a, b, mismatch):
             u + cls(*other_ctx)
 
 
+@pytest.mark.parametrize(
+    "cls, ctx, a, b", [(c[0], c[1], c[3], c[4]) for c in CASES], ids=[c[0].__name__ for c in CASES]
+)
+def test_coefficients_become_fractions_once(cls, ctx, a, b):
+    # a Fraction coefficient is stored as given; anything else is converted
+    f = Fraction(3, 2)
+    u = cls(*ctx, {a: f, b: 2})
+    assert u.terms[a] is f
+    assert type(u.terms[b]) is Fraction and u.terms[b] == 2
+    assert cls(*ctx, {a: Fraction(0), b: 0}).terms == {}
+
+
 ELEMENTS = {case[0].__name__: case[0](*case[1], {case[3]: 1}) for case in CASES}
 OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
