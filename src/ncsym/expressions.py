@@ -33,10 +33,15 @@ nu blocks) profile of the join's blocks and are memoized on it.  x <-> e
 stays on the pairs through p, so that the interval sum of
 ``x_e_expansion_coefficient`` remains an independent check of it.
 
-Each basis change has one memoized table, ``_key_convert``.  Möbius values
-are integers, so the tables hold int coefficients; only the rows into e
-divide.  Every operation below extends its rule on keys through
-``combination.linear`` or ``bilinear``; results are Fractions throughout.
+Each basis change has one memoized table, ``_key_convert``, and every
+table holds int weights.  Möbius values are integers; the rows into e are
+rational, but at degree n every coefficient is an integer multiple of
+1 / (n-1)!, since mu(bottom, pi) and each group weight of the m -> e sum
+have a denominator dividing (n-1)!.  So a row into e stores each
+coefficient times ``_e_scale(n)`` = (n-1)!, and every reader of such a row
+divides by that scale once per key.  Every operation below extends its rule
+on keys through ``combination.linear`` or ``bilinear``; results are
+Fractions throughout.
 
 Every Hopf operation uses its basis's own rule; p is a hub only for
 ``convert``.  The product of two keys is their shifted concatenation on the
@@ -156,11 +161,17 @@ def _bottom(ground) -> SetPartition:
     return SetPartition._trusted(tuple((x,) for x in sorted(ground)), frozenset(ground))
 
 
+def _e_scale(n: int) -> int:
+    """(n-1)!, the factor every weight of a degree-n row into e carries."""
+    return factorial(max(n - 1, 0))
+
+
 @lru_cache(maxsize=None)
 def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
-    """One basis element in the target basis, as (key, weight) pairs."""
+    """One basis element in the target basis, as (key, int weight) pairs;
+    a row into e holds each coefficient times ``_e_scale(pi.size)``."""
     if basis == target:
-        return ((pi, 1),)
+        return ((pi, _e_scale(pi.size) if target == "e" else 1),)
     route = (basis, target)
     if route == ("m", "p"):
         return tuple((sigma, mobius(pi, sigma)) for sigma in coarsenings(pi))
@@ -174,17 +185,16 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
     if route == ("p", "x"):
         return tuple((sigma, 1) for sigma in refinements(pi))
     if route == ("p", "e"):
-        lead = mobius(_bottom(pi.ground), pi)
-        return tuple(
-            (sigma, Fraction(mobius(sigma, pi), lead)) for sigma in refinements(pi)
-        )
+        unit = _e_scale(pi.size) // mobius(_bottom(pi.ground), pi)
+        return tuple((sigma, mobius(sigma, pi) * unit) for sigma in refinements(pi))
     if route == ("e", "m"):
         return _by_signature(pi, _e_to_m, distinct=True)
     if route == ("x", "m"):
         return _by_signature(pi, _x_to_m)
     if basis == "m":
-        return _by_signature(pi, partial(_m_to, target))
-    # x <-> e: every comparable pair through p
+        scale = _e_scale(pi.size) if target == "e" else 1
+        return _by_signature(pi, partial(_m_to, target, scale))
+    # x <-> e: every comparable pair through p; x -> e comes out scaled
     to_p = dict(_key_convert(basis, "p", pi))
     return tuple(linear(to_p, partial(_key_convert, "p", target)).items())
 
@@ -265,8 +275,8 @@ def _top_refinement_sum(sizes: tuple) -> int:
     return sum(c * merge_mobius(j) for j, c in enumerate(refinement_counts(sizes)) if c)
 
 
-def _m_to(target: str, width: int, sig: tuple) -> int | Fraction:
-    """m at tau -> x or e at nu, from the join of tau and nu.
+def _m_to(target: str, scale: int, width: int, sig: tuple) -> int:
+    """m at tau -> x or e at nu, from the join of tau and nu, times scale.
 
     The p-route coefficient at nu sums mu(tau, sigma) (x) or
     mu(tau, sigma) mu(nu, sigma) / mu(bottom, sigma) (e) over the sigma
@@ -287,7 +297,8 @@ def _m_to(target: str, width: int, sig: tuple) -> int | Fraction:
         apart.append((mask, size, v))
         joined = apart
     profile = sorted((size, mask.bit_count(), v) for mask, size, v in joined)
-    return _coarsening_sum(target, tuple(profile))
+    c = _coarsening_sum(target, tuple(profile))
+    return c.numerator * (scale // c.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -322,8 +333,11 @@ def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
         return expr
     for pi in expr.terms:
         check_degree(pi.size)
+    terms = expr.terms
+    if target == "e":
+        terms = {pi: c / _e_scale(pi.size) for pi, c in terms.items()}
     rule = partial(_key_convert, expr.basis, target)
-    return NCSymExpr(target, linear(expr.terms, rule))
+    return NCSymExpr(target, linear(terms, rule))
 
 
 def _key_product(basis: str, k1: SetPartition, k2: SetPartition):
@@ -389,12 +403,18 @@ def tensor_convert(t: NCTensorExpr, target: str) -> NCTensorExpr:
     for left, right in t.terms:
         check_degree(left.size)
         check_degree(right.size)
+    terms = t.terms
+    if target == "e":
+        terms = {
+            (left, right): c / (_e_scale(left.size) * _e_scale(right.size))
+            for (left, right), c in terms.items()
+        }
 
     def rule(key):
         left, right = (_key_convert(t.basis, target, leg) for leg in key)
         return (((lt, rt), lc * rc) for lt, lc in left for rt, rc in right)
 
-    return NCTensorExpr(target, linear(t.terms, rule))
+    return NCTensorExpr(target, linear(terms, rule))
 
 
 def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:

@@ -176,13 +176,15 @@ def mobius(finer: SetPartition, coarser: SetPartition) -> int:
     owner = _owner_map(coarser)
     counts = [0] * len(coarser.blocks)
     for blk in finer.blocks:
-        owners = {owner[x] for x in blk}
-        if len(owners) != 1:
-            raise ValueError(f"{finer} does not refine {coarser}")
-        counts[owners.pop()] += 1
+        i = owner[blk[0]]
+        for x in blk:
+            if owner[x] != i:
+                raise ValueError(f"{finer} does not refine {coarser}")
+        counts[i] += 1
     value = 1
     for c in counts:
-        value *= merge_mobius(c)
+        if c > 1:
+            value *= merge_mobius(c)
     return value
 
 

@@ -79,17 +79,20 @@ def rho_scalar(basis: str, lam: IntegerPartition) -> int:
 @lru_cache(maxsize=None)
 def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
     """Coordinates of one basis element in the target basis, as key/value
-    pairs: rho of the NCSym row at ``bracket(lam)`` over b's scalar at lam."""
+    pairs: rho of the NCSym row at ``bracket(lam)`` over b's scalar at lam
+    (and over the row's scale, for a row into e)."""
     if {basis, target} == {"x", "e"}:
         prow = dict(_key_convert_sym(basis, "p", lam))
         return tuple(linear(prow, partial(_key_convert_sym, "p", target)).items())
-    from .expressions import _key_convert
+    from .expressions import _e_scale, _key_convert
 
     shapes = {}
     for sigma, w in _key_convert(basis, target, bracket(lam)):
         gam = sigma.shape()
         shapes[gam] = shapes.get(gam, 0) + w
     scale = rho_scalar(basis, lam)
+    if target == "e":
+        scale *= _e_scale(lam.n)
     return tuple(
         (gam, Fraction(c * rho_scalar(target, gam), scale))
         for gam, c in shapes.items()

@@ -364,11 +364,20 @@ def test_x_to_m_top_matches_orientation_enumeration():
             assert expansion.coefficient(sigma) == (-1) ** (n - 1) * count
 
 
+def _row(basis, target, pi):
+    """One table row as {key: coefficient}: a row into e divided by its scale."""
+    row = dict(_key_convert(basis, target, pi))
+    if target == "e":
+        scale = expressions._e_scale(pi.size)
+        row = {tau: Fraction(w, scale) for tau, w in row.items()}
+    return row
+
+
 def _two_stage(basis, target, pi):
     """The composite table through p: every comparable pair, summed."""
     out = {}
-    for sigma, c in _key_convert(basis, "p", pi):
-        for tau, d in _key_convert("p", target, sigma):
+    for sigma, c in _row(basis, "p", pi).items():
+        for tau, d in _row("p", target, sigma).items():
             out[tau] = out.get(tau, 0) + c * d
     return {tau: v for tau, v in out.items() if v}
 
@@ -376,16 +385,71 @@ def _two_stage(basis, target, pi):
 COMPOSITES = (("e", "m"), ("x", "m"), ("m", "x"), ("m", "e"))
 
 
-def test_composite_tables_match_two_stage_reference():
+def _table_keys():
+    """Every key through degree 6, six keys of degree 7 and one of degree 8."""
     keys = [pi for n in range(7) for pi in set_partitions(range(1, n + 1))]
     keys += random.Random(7).sample(list(set_partitions(range(1, 8))), 6)
     # at n = 8 each packed signature field is 4 bits wide
-    keys += [sp_("1,5/2,6/3,7/4,8")]
-    for pi in keys:
+    return keys + [sp_("1,5/2,6/3,7/4,8")]
+
+
+def test_composite_tables_match_two_stage_reference():
+    for pi in _table_keys():
         for basis, target in COMPOSITES:
             table = _key_convert(basis, target, pi)
             assert len({tau for tau, _ in table}) == len(table)
-            assert dict(table) == _two_stage(basis, target, pi), (basis, target, pi)
+            want = _two_stage(basis, target, pi)
+            assert _row(basis, target, pi) == want, (basis, target, pi)
+
+
+def test_rows_into_e_hold_ints_scaled_by_the_degree():
+    # the rational p -> e row from its defining formula, one per key
+    p_to_e = {}
+
+    def rational_p_to_e(sigma):
+        if sigma not in p_to_e:
+            lead = lattice.mobius(SetPartition.singletons(sorted(sigma.ground)), sigma)
+            p_to_e[sigma] = {
+                tau: Fraction(lattice.mobius(tau, sigma), lead)
+                for tau in lattice.refinements(sigma)
+            }
+        return p_to_e[sigma]
+
+    for pi in _table_keys():
+        scale = factorial(max(pi.size - 1, 0))
+        for basis in ("m", "p", "x"):
+            want = {}
+            for sigma, c in _key_convert(basis, "p", pi):
+                for tau, d in rational_p_to_e(sigma).items():
+                    want[tau] = want.get(tau, 0) + c * d
+            table = _key_convert(basis, "e", pi)
+            assert all(type(w) is int for _, w in table), (basis, pi)
+            got = {tau: Fraction(w, scale) for tau, w in table}
+            assert got == {tau: v for tau, v in want.items() if v}, (basis, pi)
+
+
+def test_convert_into_e_scales_each_key_by_its_own_degree():
+    empty = SetPartition.empty()
+    keys = [empty, sp_("1"), sp_("12"), sp_("1/2"), sp_("13/25/4")]
+    coeffs = [Fraction(2, 3), Fraction(-5, 7), Fraction(1, 4), 3, Fraction(-7, 6)]
+    legs = [
+        (empty, sp_("13/2")),
+        (sp_("12/3/4/5"), sp_("1")),
+        (sp_("1/2"), empty),
+        (sp_("12"), sp_("1/23/4")),
+        (empty, empty),
+    ]
+    for basis in ("m", "p", "x"):
+        expr = NCSymExpr(basis, dict(zip(keys, coeffs)))
+        want = NCSymExpr.zero("e")
+        for pi, c in zip(keys, coeffs):
+            want = want + convert(NCSymExpr.element(basis, pi), "e") * c
+        assert convert(expr, "e") == want, basis
+        t = NCTensorExpr(basis, dict(zip(legs, coeffs)))
+        want = NCTensorExpr("e")
+        for key, c in zip(legs, coeffs):
+            want = want + tensor_convert(NCTensorExpr(basis, {key: 1}), "e") * c
+        assert tensor_convert(t, "e") == want, basis
 
 
 def test_e_to_m_builds_only_its_output_partitions(monkeypatch):
@@ -478,8 +542,15 @@ def test_oracle_routes_stay_independent():
     # signature walk; the routes they are checked against never reach it
     signature_route = {"_by_signature", "_e_to_m", "_x_to_m", "_m_to"}
     assert signature_route <= _reachable_names(expressions, "_key_convert")
-    for name in ("x_to_m_top", "x_e_expansion_coefficient"):
-        assert not _reachable_names(expressions, name) & signature_route, name
+    # the rows into e carry a scale that only their readers divide out
+    assert "_e_scale" in _reachable_names(expressions, "_key_convert")
+    table_route = signature_route | {"_e_scale"}
+    for name in (
+        "x_to_m_top",
+        "x_e_expansion_coefficient",
+        "x_top_coproduct_coefficient",
+    ):
+        assert not _reachable_names(expressions, name) & table_route, name
     for name in (
         "bell_triangle",
         "_mobius_recursion",
@@ -487,8 +558,9 @@ def test_oracle_routes_stay_independent():
         "_stable_partitions",
         "_chromatic_values",
     ):
-        assert not _reachable_names(checks, name) & signature_route, name
+        assert not _reachable_names(checks, name) & table_route, name
     assert "expressions" not in imported_names(monomials)
+    assert "_e_scale" not in Path(monomials.__file__).read_text()
     # x <-> e stays on the pairs through p; the conjecture report compares it
     # with the interval sum, which must not use the tables
     assert not _reachable_names(expressions, "_key_convert") & {
