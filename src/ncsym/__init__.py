@@ -62,9 +62,11 @@ from .parsing import (
     format_species,
     format_species_tensor,
     format_sym,
+    format_terms,
     parse_ncsym,
     parse_species,
     parse_sym,
+    terms_json,
 )
 from .partitions import (
     IntegerPartition,

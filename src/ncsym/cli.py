@@ -27,22 +27,7 @@ from .graphs import (
 )
 from .lattice import mobius
 from .limits import max_degree
-from .parsing import (
-    ParseError,
-    format_ncsym,
-    format_nctensor,
-    format_species,
-    format_species_tensor,
-    format_sym,
-    ncsym_json,
-    nctensor_json,
-    parse_ncsym,
-    parse_species,
-    parse_sym,
-    species_json,
-    species_tensor_json,
-    sym_json,
-)
+from .parsing import ParseError, format_terms, parse_ncsym, parse_species, parse_sym, terms_json
 from .partitions import SetPartition
 from .species import SpeciesElement, species_delta, species_mu
 from .sym import convert_sym, product_sym
@@ -60,36 +45,38 @@ def _parse_int_set(text: str) -> frozenset:
         raise ParseError(f"malformed element set {text!r}", 0) from None
 
 
-def _emit(args, value, text, to_json) -> None:
-    """Print ``value`` as ``to_json(value)`` under --json, else as ``text(value)``."""
+def _emit(args, value, text=None, to_json=None) -> None:
+    """Print ``value`` as ``to_json(value)`` under --json, else as ``text(value)``.
+
+    Either defaults to the combination renderer of its form, looked up when
+    called; only the requested form is rendered.
+    """
     if getattr(args, "json", False):
-        print(json.dumps(to_json(value), indent=2, sort_keys=True))
+        print(json.dumps((to_json or terms_json)(value), indent=2, sort_keys=True))
     else:
-        print(text(value))
+        print((text or format_terms)(value))
 
 
 def _cmd_convert(args) -> int:
     if args.sym:
-        _emit(args, convert_sym(parse_sym(args.expr), args.to), format_sym, sym_json)
+        _emit(args, convert_sym(parse_sym(args.expr), args.to))
     else:
-        _emit(args, convert(parse_ncsym(args.expr), args.to), format_ncsym, ncsym_json)
+        _emit(args, convert(parse_ncsym(args.expr), args.to))
     return 0
 
 
 def _cmd_product(args) -> int:
     if args.sym:
-        result = product_sym(parse_sym(args.left), parse_sym(args.right))
-        _emit(args, result, format_sym, sym_json)
+        _emit(args, product_sym(parse_sym(args.left), parse_sym(args.right)))
     else:
-        result = product(parse_ncsym(args.left), parse_ncsym(args.right))
-        _emit(args, result, format_ncsym, ncsym_json)
+        _emit(args, product(parse_ncsym(args.left), parse_ncsym(args.right)))
     return 0
 
 
 def _cmd_coproduct(args) -> int:
     expr = parse_ncsym(args.expr)
     if args.split is None:
-        _emit(args, coproduct(expr), format_nctensor, nctensor_json)
+        _emit(args, coproduct(expr))
         return 0
     grounds = {pi.ground for pi in expr.terms}
     if len(grounds) > 1:
@@ -102,7 +89,7 @@ def _emit_split(args, ground: frozenset, basis: str, terms: dict) -> int:
     """The species coproduct component with the --split part as first leg."""
     s1 = _parse_int_set(args.split)
     t = species_delta(SpeciesElement(ground, basis, terms), s1, ground - s1)
-    _emit(args, t, format_species_tensor, species_tensor_json)
+    _emit(args, t)
     return 0
 
 
@@ -114,8 +101,7 @@ def _cmd_mobius(args) -> int:
 
 def _cmd_species(args) -> int:
     if args.species_op == "mu":
-        result = species_mu(parse_species(args.left), parse_species(args.right))
-        _emit(args, result, format_species, species_json)
+        _emit(args, species_mu(parse_species(args.left), parse_species(args.right)))
         return 0
     v = parse_species(args.expr)
     return _emit_split(args, v.ground, v.basis, v.terms)
@@ -145,55 +131,53 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _conjecture_text(rows) -> str:
+    lines = [
+        "CONJECTURE report (the tool reports sign data, it does not assert the"
+        " conjecture): elementary expansion of the one-block extra element",
+        f"{'n':>2}  {'predicted':>9}  {'nonzero':>7}  {'zeros':>5}  "
+        f"{'min':>10}  {'max':>10}  {'internal':>8}  consistent",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['n']:>2}  {row['predicted_sign']:>9}  {row['nonzero_terms']:>7}  "
+            f"{row['zero_terms']:>5}  {str(row['min_coeff']):>10}  "
+            f"{str(row['max_coeff']):>10}  "
+            f"{'ok' if row['internal_agreement'] else 'MISMATCH':>8}  "
+            f"{'yes' if row['consistent_with_prediction'] else 'NO: ' + ', '.join(row['violations'])}"
+        )
+    return "\n".join(lines)
+
+
+def _conjecture_json(rows) -> dict:
+    return {"label": "CONJECTURE", "rows": rows}
+
+
 def _cmd_conjecture(args) -> int:
     rows = checks.conjecture_report(args.max_n)
-    ok = all(row["internal_agreement"] for row in rows)
-    if args.json:
-        print(json.dumps({"label": "CONJECTURE", "rows": rows}, indent=2, sort_keys=True))
-    else:
-        print(
-            "CONJECTURE report (the tool reports sign data, it does not assert the"
-            " conjecture): elementary expansion of the one-block extra element"
-        )
-        header = (
-            f"{'n':>2}  {'predicted':>9}  {'nonzero':>7}  {'zeros':>5}  "
-            f"{'min':>10}  {'max':>10}  {'internal':>8}  consistent"
-        )
-        print(header)
-        for row in rows:
-            print(
-                f"{row['n']:>2}  {row['predicted_sign']:>9}  {row['nonzero_terms']:>7}  "
-                f"{row['zero_terms']:>5}  {str(row['min_coeff']):>10}  "
-                f"{str(row['max_coeff']):>10}  "
-                f"{'ok' if row['internal_agreement'] else 'MISMATCH':>8}  "
-                f"{'yes' if row['consistent_with_prediction'] else 'NO: ' + ', '.join(row['violations'])}"
-            )
-    return 0 if ok else 1
+    _emit(args, rows, _conjecture_text, _conjecture_json)
+    return 0 if all(row["internal_agreement"] for row in rows) else 1
+
+
+def _results_text(results) -> str:
+    lines = []
+    for r in results:
+        detail = f"  [{r.detail}]" if r.detail else ""
+        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name}{detail}")
+    lines.append("all checks passed" if all(r.passed for r in results) else "CHECKS FAILED")
+    return "\n".join(lines)
+
+
+def _results_json(results) -> dict:
+    return {
+        "passed": all(r.passed for r in results),
+        "results": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+    }
 
 
 def _print_results(args, results) -> int:
-    ok = all(r.passed for r in results)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "passed": ok,
-                    "results": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            detail = f"  [{r.detail}]" if r.detail else ""
-            print(f"{status}  {r.name}{detail}")
-        print(f"{'all checks passed' if ok else 'CHECKS FAILED'}")
-    return 0 if ok else 1
+    _emit(args, results, _results_text, _results_json)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_check(args) -> int:

@@ -54,10 +54,9 @@ def bilinear(left: dict, right: dict, rule) -> dict:
 class Combination:
     """Immutable sparse rational combination of keys in one context.
 
-    A subclass lists its ``BASES``, checks each key in ``_check_key``, names
-    its canonical formatter in ``parsing`` in ``_FORMAT``, and returns from
-    ``_context`` the constructor arguments that precede the terms: the basis
-    plus any ground sets.  Two combinations add only when their contexts
+    A subclass lists its ``BASES``, checks each key in ``_check_key``, and
+    returns from ``_context`` the constructor arguments that precede the
+    terms: the basis plus any ground sets.  Two combinations add only when their contexts
     agree after ``_coerce`` has brought the right operand over, and raise
     ``ValueError(_MISMATCH)`` otherwise; ``_product`` is the bilinear product
     used when both factors are combinations.
@@ -113,7 +112,7 @@ class Combination:
     def __str__(self):
         from . import parsing
 
-        return getattr(parsing, self._FORMAT)(self)
+        return parsing.format_terms(self)
 
     def __add__(self, other):
         if isinstance(other, Combination) and type(other) is not type(self):

@@ -99,7 +99,6 @@ class NCSymExpr(Combination):
 
     __slots__ = ()
     BASES = BASES
-    _FORMAT = "format_ncsym"
 
     def _check_key(self, pi) -> None:
         if not isinstance(pi, SetPartition):
@@ -140,7 +139,6 @@ class NCTensorExpr(Combination):
     __slots__ = ()
     BASES = BASES
     _MISMATCH = "cannot add tensors in different bases"
-    _FORMAT = "format_nctensor"
 
     def _check_key(self, key) -> None:
         left, right = key

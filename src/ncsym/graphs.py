@@ -141,6 +141,16 @@ def chromatic_polynomial(graph: MultipartiteGraph) -> ChromaticPolynomial:
     return ChromaticPolynomial(counts)
 
 
+def _check_sink(sigma: SetPartition, sink: int) -> int:
+    """The vertex count of the graph of ``sigma``, once ``sink`` is one of its vertices."""
+    n = sigma.size
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if not 1 <= sink <= n:
+        raise ValueError(f"sink {sink} is not a vertex of {{1..{n}}}")
+    return n
+
+
 def count_acyclic_unique_sink(sigma: SetPartition, sink: int) -> int:
     """Acyclic orientations of the graph of ``sigma`` with a unique sink at ``sink``.
 
@@ -149,11 +159,7 @@ def count_acyclic_unique_sink(sigma: SetPartition, sink: int) -> int:
     is validated but otherwise unused here; the enumeration backend checks
     the independence for real.
     """
-    n = sigma.size
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if not 1 <= sink <= n:
-        raise ValueError(f"sink {sink} is not a vertex of {{1..{n}}}")
+    n = _check_sink(sigma, sink)
     chi = chromatic_polynomial(MultipartiteGraph(sigma))
     return (-1) ** (n - 1) * chi.quotient_at_zero()
 
@@ -200,11 +206,7 @@ def _acyclic_sink_counts(sigma: SetPartition) -> tuple:
 
 def count_acyclic_unique_sink_by_enumeration(sigma: SetPartition, sink: int) -> int:
     """Oracle backend: enumerate orientations and filter on acyclicity and sink."""
-    n = sigma.size
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if not 1 <= sink <= n:
-        raise ValueError(f"sink {sink} is not a vertex of {{1..{n}}}")
+    _check_sink(sigma, sink)
     return _acyclic_sink_counts(sigma)[sink]
 
 

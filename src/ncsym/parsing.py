@@ -6,10 +6,11 @@
     basis    := 'm' | 'p' | 'e' | 'x'
 
 Keys are set partitions (``x{1,3/2}``) or integer partitions (``x{3,2,1}``).
-A bare rational is the degree-0 unit term.  Printing lists terms in
+A bare rational is the degree-0 unit term.  ``format_terms`` (text) and
+``terms_json`` (JSON rows) render every combination type, listing terms in
 canonical order: by degree, then lexicographically by restricted growth
-string (set partitions) or by descending parts (integer partitions).  The
-ASCII tensor separator is ``(x)``.
+string (set partitions) or by descending parts (integer partitions), and
+tensor pairs leg by leg.  The ASCII tensor separator is ``(x)``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .expressions import NCSymExpr, NCTensorExpr
+from .expressions import NCSymExpr
 from .partitions import IntegerPartition, SetPartition
 from .species import SpeciesElement
 from .sym import SymExpr
@@ -37,7 +38,7 @@ _TERM_RE = re.compile(
 )
 
 
-def _split_terms(text: str):
+def _signed_chunks(text: str):
     """Split on top-level + and - signs; yields (sign, chunk, position)."""
     depth = 0
     sign = 1
@@ -75,23 +76,21 @@ def _split_terms(text: str):
     yield sign, text[start:], start
 
 
-def _parse_terms(text: str, key_parser, position_base: int = 0):
+def _parse_terms(text: str, key_parser):
     """Yield (coefficient, basis_or_None, key_or_None) for each term."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    for sign, chunk, pos in _split_terms(text):
+    for sign, chunk, pos in _signed_chunks(text):
         match = _TERM_RE.match(chunk)
         if not match:
-            raise ParseError(f"malformed term {chunk.strip()!r}", position_base + pos)
+            raise ParseError(f"malformed term {chunk.strip()!r}", pos)
         coeff_text = match.group("coeff")
         basis = match.group("elt1") or match.group("elt2")
         key_text = match.group("key1") if match.group("elt1") else match.group("key2")
         try:
             coeff = Fraction(coeff_text.replace(" ", "")) if coeff_text else Fraction(1)
         except ZeroDivisionError:
-            raise ParseError(
-                f"zero denominator in {coeff_text.strip()!r}", position_base + pos
-            ) from None
+            raise ParseError(f"zero denominator in {coeff_text.strip()!r}", pos) from None
         coeff *= sign
         if basis is None:
             yield coeff, None, None
@@ -99,7 +98,7 @@ def _parse_terms(text: str, key_parser, position_base: int = 0):
         try:
             key = key_parser(key_text)
         except ValueError as exc:
-            raise ParseError(str(exc), position_base + pos) from None
+            raise ParseError(str(exc), pos) from None
         yield coeff, basis, key
 
 
@@ -146,116 +145,74 @@ def _nc_sort_key(pi: SetPartition):
     return (pi.size, pi.rgs())
 
 
-def _sym_sort_key(lam: IntegerPartition):
-    return (lam.n, tuple(-p for p in lam.parts))
+def _blocks(pi: SetPartition) -> list:
+    return [list(blk) for blk in pi.blocks]
 
 
-def _join_signed(pieces) -> str:
-    """Join (coefficient, body) pairs with explicit magnitudes and signs."""
+def _key_rules(c):
+    """The sort key, the JSON fields and the term text ``text(key, mag)`` for
+    the keys of ``c``, picked once from their type: set partitions
+    (``blocks``), integer partitions (``parts``), or tensor pairs of set
+    partitions (``left_blocks``, ``right_blocks``, ordered leg by leg)."""
+    basis = c.basis
+    first = next(iter(c.terms), None)
+    if isinstance(first, tuple):
+
+        def leg(pi):
+            return f"{basis}{{{pi}}}" if pi else "1"
+
+        def text(key, mag):
+            left, right = leg(key[0]), leg(key[1])
+            return f"1 (x) {right}" if mag == 1 and left == "1" else f"{mag}*{left} (x) {right}"
+
+        return (
+            lambda key: (_nc_sort_key(key[0]), _nc_sort_key(key[1])),
+            lambda key: {"left_blocks": _blocks(key[0]), "right_blocks": _blocks(key[1])},
+            text,
+        )
+
+    def text(key, mag):
+        return f"{mag}*{basis}{{{key}}}" if key else str(mag)
+
+    if isinstance(first, IntegerPartition):
+        return (
+            lambda lam: (lam.n, tuple(-p for p in lam.parts)),
+            lambda lam: {"parts": list(lam.parts)},
+            text,
+        )
+    return _nc_sort_key, lambda pi: {"blocks": _blocks(pi)}, text
+
+
+def format_terms(c) -> str:
+    """Canonical text of a combination: its terms in canonical order with
+    explicit magnitudes and signs, or ``0``."""
+    order, _, text = _key_rules(c)
     out = []
-    for coeff, body in pieces:
-        mag = abs(coeff)
-        text = body(mag)
-        if not out:
-            out.append(text if coeff > 0 else f"-{text}")
-        else:
-            out.append(f" + {text}" if coeff > 0 else f" - {text}")
-    return "".join(out) if out else "0"
+    for key in sorted(c.terms, key=order):
+        coeff = c.terms[key]
+        sign = (" - " if coeff < 0 else " + ") if out else ("-" if coeff < 0 else "")
+        out.append(sign + text(key, abs(coeff)))
+    return "".join(out) or "0"
 
 
-def _term_body(basis: str, key_str: str, empty: bool):
-    if empty:
-        return str
-    return lambda mag: f"{mag}*{basis}{{{key_str}}}"
-
-
-def format_ncsym(expr: NCSymExpr) -> str:
-    pieces = []
-    for pi in sorted(expr.terms, key=_nc_sort_key):
-        pieces.append(
-            (expr.terms[pi], _term_body(expr.basis, str(pi), not pi.blocks))
-        )
-    return _join_signed(pieces)
-
-
-def format_sym(expr: SymExpr) -> str:
-    pieces = []
-    for lam in sorted(expr.terms, key=_sym_sort_key):
-        pieces.append(
-            (expr.terms[lam], _term_body(expr.basis, str(lam), not lam.parts))
-        )
-    return _join_signed(pieces)
-
-
-def _tensor_body(basis: str, left: SetPartition, right: SetPartition):
-    lstr = "1" if not left.blocks else f"{basis}{{{left}}}"
-    rstr = "1" if not right.blocks else f"{basis}{{{right}}}"
-
-    def body(mag):
-        if mag == 1 and lstr == "1":
-            return f"1 (x) {rstr}"
-        return f"{mag}*{lstr} (x) {rstr}"
-
-    return body
-
-
-def format_nctensor(t: NCTensorExpr) -> str:
-    pieces = []
-    for left, right in sorted(
-        t.terms, key=lambda k: (_nc_sort_key(k[0]), _nc_sort_key(k[1]))
-    ):
-        pieces.append(
-            (t.terms[(left, right)], _tensor_body(t.basis, left, right))
-        )
-    return _join_signed(pieces)
-
-
-def ncsym_json(expr: NCSymExpr) -> list:
-    """Schema: list of {basis, blocks, numerator, denominator}."""
+def terms_json(c) -> list:
+    """Schema: list of {basis, numerator, denominator} plus the key's fields,
+    in the canonical order of ``format_terms``."""
+    order, fields, _ = _key_rules(c)
     return [
         {
-            "basis": expr.basis,
-            "blocks": [list(blk) for blk in pi.blocks],
-            "numerator": expr.terms[pi].numerator,
-            "denominator": expr.terms[pi].denominator,
+            "basis": c.basis,
+            **fields(key),
+            "numerator": c.terms[key].numerator,
+            "denominator": c.terms[key].denominator,
         }
-        for pi in sorted(expr.terms, key=_nc_sort_key)
+        for key in sorted(c.terms, key=order)
     ]
 
 
-def sym_json(expr: SymExpr) -> list:
-    """Schema: list of {basis, parts, numerator, denominator}."""
-    return [
-        {
-            "basis": expr.basis,
-            "parts": list(lam.parts),
-            "numerator": expr.terms[lam].numerator,
-            "denominator": expr.terms[lam].denominator,
-        }
-        for lam in sorted(expr.terms, key=_sym_sort_key)
-    ]
-
-
-def nctensor_json(t: NCTensorExpr) -> list:
-    """Schema: list of {basis, left_blocks, right_blocks, numerator, denominator}."""
-    return [
-        {
-            "basis": t.basis,
-            "left_blocks": [list(blk) for blk in left.blocks],
-            "right_blocks": [list(blk) for blk in right.blocks],
-            "numerator": t.terms[(left, right)].numerator,
-            "denominator": t.terms[(left, right)].denominator,
-        }
-        for left, right in sorted(
-            t.terms, key=lambda k: (_nc_sort_key(k[0]), _nc_sort_key(k[1]))
-        )
-    ]
-
-
-# Every key of a species value partitions one shared ground set, so the
-# graded canonical order (degree, then restricted growth string) reduces to
-# the restricted growth string and the graded printers serve unchanged.
-format_species = format_ncsym
-format_species_tensor = format_nctensor
-species_json = ncsym_json
-species_tensor_json = nctensor_json
+# The per-type names.  The keys of a species value partition one ground set,
+# so there the graded canonical order is the restricted growth string order.
+format_ncsym = format_sym = format_nctensor = format_terms
+format_species = format_species_tensor = format_terms
+ncsym_json = sym_json = nctensor_json = terms_json
+species_json = species_tensor_json = terms_json

@@ -39,7 +39,6 @@ class SpeciesElement(Combination):
     BASES = BASES
     _UNKNOWN_BASIS = "unknown species basis {!r}"
     _MISMATCH = "can only add species elements on one ground set and basis"
-    _FORMAT = "format_species"
 
     def __init__(self, ground, basis: str, terms=None):
         self.ground = frozenset(ground)
@@ -68,7 +67,6 @@ class SpeciesTensor(Combination):
     BASES = BASES
     _UNKNOWN_BASIS = "unknown species basis {!r}"
     _MISMATCH = "tensor grounds or bases differ"
-    _FORMAT = "format_species_tensor"
 
     def __init__(self, left_ground, right_ground, basis: str, terms=None):
         self.left_ground = frozenset(left_ground)

@@ -40,7 +40,6 @@ class SymExpr(Combination):
 
     __slots__ = ()
     BASES = BASES
-    _FORMAT = "format_sym"
 
     def _check_key(self, lam) -> None:
         if not isinstance(lam, IntegerPartition):

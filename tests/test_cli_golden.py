@@ -98,37 +98,36 @@ def _refuse(name):
     return refuse
 
 
-JSON_BUILDERS = ("ncsym_json", "nctensor_json", "sym_json", "species_json", "species_tensor_json")
-TEXT_FORMATTERS = (
-    "format_ncsym",
-    "format_nctensor",
-    "format_sym",
-    "format_species",
-    "format_species_tensor",
-)
+# The renderers ``_emit`` calls: the combination renderers it falls back
+# to, and those of the conjecture report and of the check results.
+JSON_BUILDERS = ("terms_json", "_conjecture_json", "_results_json")
+TEXT_FORMATTERS = ("format_terms", "_conjecture_text", "_results_text")
 
 # Requests of every subcommand that prints through ``_emit`` with no golden
-# case: the product of species elements, Möbius values and the three graph
-# modes.  They are checked against their own output with nothing patched.
+# case in both forms: the product of species elements, Möbius values, the
+# three graph modes and the oracle report of ``verify``.  They are checked
+# against their own output with nothing patched.
 UNPINNED = [
     ["species", "mu", "m{1,2}", "m{3,5/4}"],
     ["mobius", "1/3/24", "13/24"],
     ["graph", "12/3/45"],
     ["graph", "12/3/45", "--stable"],
     ["graph", "12/3/45", "--orientations", "2"],
+    ["verify", "--max-n", "3", "--vars", "3"],
 ]
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_each_request_renders_one_form(as_json, capsys, monkeypatch):
     monkeypatch.delenv("NCSYM_MAX_DEGREE", raising=False)
+    # every successful golden: convert, product, coproduct, species,
+    # conjecture, check and verify all print through ``_emit``
     emitting = [
         case
         for case in GOLDEN
-        if case["exit_code"] == 0
-        and case["argv"][0] in ("convert", "product", "coproduct", "species")
-        and ("--json" in case["argv"]) == as_json
+        if case["exit_code"] == 0 and ("--json" in case["argv"]) == as_json
     ]
+    assert {case["argv"][0] for case in emitting} >= {"conjecture", "check"}
     unpinned = [argv + ["--json"] if as_json else argv for argv in UNPINNED]
     expected = [_run(argv, capsys) for argv in unpinned]
     for name in TEXT_FORMATTERS if as_json else JSON_BUILDERS:
