@@ -29,9 +29,22 @@ distinct signature and a target is built only when it is nonzero:
 where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks.  The e -> m walk never
 puts two elements of one block of s together, so it visits only the nu with
 a nonzero coefficient.  The join sums depend only on the (size, tau blocks,
-nu blocks) profile of the join's blocks and are memoized on it.  x <-> e
-stays on the pairs through p, so that the interval sum of
-``x_e_expansion_coefficient`` remains an independent check of it.
+nu blocks) profile of the join's blocks and are memoized on it.
+
+x <-> e walks the refinements sigma of the key pi once.  The interval from
+sigma to pi is the product, over the blocks B of pi, of the partition
+lattices of the blocks of sigma inside B (Stanley, EC1 3.10), so each
+coefficient is a product over the blocks of pi of a block weight at the
+shape lam of sigma on B, memoized on lam:
+
+    x at pi -> e at sigma: h(lam) = sum over the set partitions rho of the
+                parts of lam of mu1(|rho|) prod_G mu1(|G|) / mu1(size of G)
+    e at pi -> x at sigma: f(lam) = sum over rho of prod_G mu1(size of G)
+
+where G runs over the groups of rho and the size of G sums its parts.  f
+sums mu(bottom, tau) over the tau between sigma and pi.  The interval sum of
+``x_e_expansion_coefficient`` walks the comparable pairs instead and stays
+an independent check of x -> e.
 
 Each basis change has one memoized table, ``_key_convert``, and every
 table holds int weights.  Möbius values are integers; the rows into e are
@@ -59,7 +72,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, prod
 
 from . import sym as _sym
 from .combination import Combination, bilinear, linear
@@ -192,9 +205,72 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
     if basis == "m":
         scale = _e_scale(pi.size) if target == "e" else 1
         return _by_signature(pi, partial(_m_to, target, scale))
-    # x <-> e: every comparable pair through p; x -> e comes out scaled
-    to_p = dict(_key_convert(basis, "p", pi))
-    return tuple(linear(to_p, partial(_key_convert, "p", target)).items())
+    return _by_block_shape(pi, basis)
+
+
+def _by_block_shape(pi: SetPartition, basis: str) -> tuple:
+    """x <-> e: (sigma, c) for every refinement sigma of pi with a nonzero c,
+    the product over the blocks B of pi of the block weight at the shape of
+    sigma on B, in ``refinements`` order.
+
+    x -> e multiplies h(lam) (b-1)!, b = |B|, so the row holds each
+    coefficient times ``_e_scale(pi.size)``; e -> x multiplies f(lam).
+    """
+    owner = {x: i for i, blk in enumerate(pi.blocks) for x in blk}
+    if basis == "x":
+        weight = _x_to_e_block
+        scale = _e_scale(pi.size) // prod(_e_scale(len(blk)) for blk in pi.blocks)
+    else:
+        weight, scale = _e_to_x_block, 1
+    out = []
+    for sigma in refinements(pi):
+        shapes = [[] for _ in pi.blocks]
+        for blk in sigma.blocks:
+            shapes[owner[blk[0]]].append(len(blk))
+        c = scale
+        for sizes in shapes:
+            sizes.sort()
+            c *= weight(tuple(sizes))
+        if c:
+            out.append((sigma, c))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _x_to_e_block(sizes: tuple) -> int:
+    """h(sizes) times (b-1)!, b = sum(sizes): the coefficient of e at a
+    partition with these block sizes in x at the one-block partition,
+    scaled to an int like a row into e."""
+    h = sum(merge_mobius(k) * c for k, c in enumerate(_groupings("e", sizes)) if c)
+    return h.numerator * (_e_scale(sum(sizes)) // h.denominator)
+
+
+@lru_cache(maxsize=None)
+def _e_to_x_block(sizes: tuple) -> int:
+    """f(sizes): the coefficient of x at a partition with these block sizes
+    in e at the one-block partition."""
+    return sum(_groupings("x", sizes))
+
+
+@lru_cache(maxsize=None)
+def _groupings(target: str, sizes: tuple) -> tuple:
+    """Entry k sums, over the set partitions of the parts ``sizes`` into k
+    groups G, the product of the group weights: mu1(|G|) / mu1(size of G)
+    into e, mu1(size of G) into x."""
+    if not sizes:
+        return (1,)
+    first, rest = sizes[0], sizes[1:]
+    out = [0] * (len(sizes) + 1)
+    for r in range(len(rest) + 1):
+        for chosen in itertools.combinations(range(len(rest)), r):
+            size = first + sum(rest[i] for i in chosen)
+            w = merge_mobius(size)
+            if target == "e":
+                w = Fraction(merge_mobius(r + 1), w)
+            left = tuple(e for i, e in enumerate(rest) if i not in chosen)
+            for k, c in enumerate(_groupings(target, left)):
+                out[k + 1] += w * c
+    return tuple(out)
 
 
 def _by_signature(pi: SetPartition, coefficient, distinct: bool = False) -> tuple:

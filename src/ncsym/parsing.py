@@ -21,7 +21,7 @@ from fractions import Fraction
 from .expressions import NCSymExpr
 from .partitions import IntegerPartition, SetPartition
 from .species import SpeciesElement
-from .sym import SymExpr
+from .sym import SymExpr, canonical_order
 
 
 class ParseError(ValueError):
@@ -176,7 +176,7 @@ def _key_rules(c):
 
     if isinstance(first, IntegerPartition):
         return (
-            lambda lam: (lam.n, tuple(-p for p in lam.parts)),
+            canonical_order,
             lambda lam: {"parts": list(lam.parts)},
             text,
         )

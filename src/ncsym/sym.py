@@ -66,6 +66,12 @@ class SymExpr(Combination):
         return cls(basis)
 
 
+def canonical_order(lam: IntegerPartition) -> tuple:
+    """Sort key of the canonical order of Sym terms, shared with printing:
+    by degree, then by descending parts."""
+    return (lam.n, tuple(-p for p in lam.parts))
+
+
 def rho_scalar(basis: str, lam: IntegerPartition) -> int:
     """The scalar rho puts on a ``basis`` element at a set partition of shape lam."""
     if basis == "m":
@@ -134,11 +140,12 @@ def is_e_positive(expr: SymExpr):
     """Whether every coefficient of the elementary expansion is positive.
 
     Returns ``(True, None)`` or ``(False, (partition, coefficient))`` with the
-    first offending term in canonical order.  Coefficients that cancel to
+    first offending term in ``canonical_order``, the order in which
+    ``parsing.format_terms`` prints them.  Coefficients that cancel to
     zero do not appear in the sparse expansion and are not offenders.
     """
     ee = convert_sym(expr, "e")
-    for lam in sorted(ee.terms, key=lambda l: (l.n, tuple(-p for p in l.parts))):
+    for lam in sorted(ee.terms, key=canonical_order):
         if ee.terms[lam] <= 0:
             return False, (lam, ee.terms[lam])
     return True, None

@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from ncsym import NCSymExpr, SetPartition, checks, expand_nc, monomials, set_partitions
+from ncsym import (
+    NCSymExpr,
+    SetPartition,
+    checks,
+    expand_nc,
+    integer_partitions,
+    monomials,
+    set_partitions,
+    x_e_expansion_coefficient,
+)
 from ncsym.cli import main
 
 CONVERSIONS = "every basis conversion matches the defining expansions"
@@ -116,3 +125,51 @@ def test_conjecture_report_shape():
     assert rows[1]["predicted_sign"] == "-"
     assert rows[1]["min_coeff"] == "-1"
     assert rows[2]["nonzero_terms"] == 4 and rows[2]["zero_terms"] == 1
+
+
+def test_interval_sum_depends_only_on_the_shape():
+    # the report evaluates the interval sum at one representative per shape
+    for n in range(1, 7):
+        top = SetPartition.whole(range(1, n + 1))
+        for sigma in set_partitions(range(1, n + 1)):
+            rep = checks._consecutive_blocks(sigma)
+            assert rep.shape() == sigma.shape() and rep.ground == sigma.ground
+            assert all(blk == tuple(range(blk[0], blk[-1] + 1)) for blk in rep.blocks)
+            want = x_e_expansion_coefficient(top, sigma)
+            assert x_e_expansion_coefficient(top, rep) == want, sigma
+
+
+def test_conjecture_report_sums_each_interval_once_per_shape(monkeypatch):
+    reps = []
+    interval_sum = checks.x_e_expansion_coefficient
+
+    def counted(pi, sigma):
+        reps.append(sigma)
+        return interval_sum(pi, sigma)
+
+    monkeypatch.setattr(checks, "x_e_expansion_coefficient", counted)
+    rows = checks.conjecture_report(6)
+    assert all(row["internal_agreement"] for row in rows)
+    shapes = [lam for n in range(1, 7) for lam in integer_partitions(n)]
+    assert sorted(sigma.shape().parts for sigma in reps) == sorted(
+        lam.parts for lam in shapes
+    )
+    assert all(checks._consecutive_blocks(sigma) == sigma for sigma in reps)
+
+
+def test_conjecture_report_compares_every_coefficient(monkeypatch):
+    # a wrong basis-change coefficient at a sigma that is not its shape's
+    # representative still breaks the internal agreement of its degree
+    convert = checks.convert
+    wrong = SetPartition.parse("1,3/2,4")
+    assert checks._consecutive_blocks(wrong) != wrong
+
+    def perturbed(expr, target):
+        out = convert(expr, target)
+        if expr.degrees() == {4}:
+            out = out + NCSymExpr("e", {wrong: Fraction(1, 7)})
+        return out
+
+    monkeypatch.setattr(checks, "convert", perturbed)
+    rows = checks.conjecture_report(5)
+    assert [row["internal_agreement"] for row in rows] == [True, True, True, False, True]

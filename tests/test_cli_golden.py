@@ -6,7 +6,8 @@ basis changes over every pair in both the set partition and the integer
 partition forms, products (commutative, and noncommutative in m, e and
 mixed bases), coproducts (of e keys, and of x keys: graded, in ``--json``,
 a fractional combination, one ``--split`` component and ``species
-delta``), the conjecture report, the check suites (all of them, and the
+delta``), the conjecture report (at degree 6 in both forms, and at the
+degree cap 8 in ``--json``), the check suites (all of them, and the
 capped degrees of ``x-to-m`` and ``lattice``, and ``oracle`` at degree 4
 in text and ``--json``), the oracle at ``--vars`` below ``--max-n``, the
 commutative images at degrees 7 and 8 (``x{7} - 1/2*x{4,3}`` to e,

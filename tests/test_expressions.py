@@ -402,6 +402,21 @@ def test_composite_tables_match_two_stage_reference():
             assert _row(basis, target, pi) == want, (basis, target, pi)
 
 
+def test_x_e_rows_match_the_route_through_p():
+    # the block-shape rows against x -> p -> e and e -> p -> x, summed over
+    # every comparable pair: every key through degree 6, the top and the
+    # bottom of degree 8, and one degree-8 key with mixed block sizes
+    keys = [pi for n in range(7) for pi in set_partitions(range(1, n + 1))]
+    keys += [top(8), SetPartition.singletons(range(1, 9)), sp_("1,2,3,4/5,6/7/8")]
+    for pi in keys:
+        for basis, target in (("x", "e"), ("e", "x")):
+            table = _key_convert(basis, target, pi)
+            assert len({tau for tau, _ in table}) == len(table)
+            assert all(type(w) is int and w for _, w in table), (basis, pi)
+            want = _two_stage(basis, target, pi)
+            assert _row(basis, target, pi) == want, (basis, target, pi)
+
+
 def test_rows_into_e_hold_ints_scaled_by_the_degree():
     # the rational p -> e row from its defining formula, one per key
     p_to_e = {}
@@ -561,16 +576,24 @@ def test_oracle_routes_stay_independent():
         assert not _reachable_names(checks, name) & table_route, name
     assert "expressions" not in imported_names(monomials)
     assert "_e_scale" not in Path(monomials.__file__).read_text()
-    # x <-> e stays on the pairs through p; the conjecture report compares it
-    # with the interval sum, which must not use the tables
+    # x <-> e multiplies the block weights h and f over the refinements of
+    # the key; the conjecture report compares x -> e with the interval sum,
+    # once per shape, and neither the interval sum nor the report's helper
+    # reaches the tables or the block weights
+    shape_route = {"_by_block_shape", "_x_to_e_block", "_e_to_x_block", "_groupings"}
+    assert shape_route <= _reachable_names(expressions, "_key_convert")
     assert not _reachable_names(expressions, "_key_convert") & {
         "interval",
         "x_e_expansion_coefficient",
     }
-    assert not _reachable_names(expressions, "x_e_expansion_coefficient") & {
-        "_key_convert",
-        "convert",
-    }
+    assert not _reachable_names(expressions, "x_e_expansion_coefficient") & (
+        shape_route | {"_key_convert", "convert"}
+    )
+    report_oracle = _reachable_names(checks, "_interval_sum_by_shape")
+    assert "x_e_expansion_coefficient" in report_oracle
+    assert not report_oracle & (
+        shape_route | {"_key_convert", "convert", "set_partitions_of_shape", "bracket"}
+    )
     # every coproduct, graded or species, multiplies the block choices of
     # one split rule, which reads the x block weights; the interval sums and
     # the check that compare with it never reach that rule or those weights

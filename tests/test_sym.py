@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +17,7 @@ from ncsym import (
     product_sym,
     rho,
 )
+from ncsym.parsing import format_terms
 from ncsym.partitions import concat, lambda_factorial, lambda_superfactorial
 
 from conftest import ip_
@@ -129,6 +132,26 @@ def test_is_e_positive():
     assert is_e_positive(s_elt("x", 1)) == (True, None)
     # cross-check the certificate with the defining expansion in two variables
     assert expand_c("x", ip_(2), 2) == -2 * expand_c("e", ip_(2), 2)
+
+
+def test_is_e_positive_returns_the_first_offender_in_printed_order():
+    # keys inserted against the canonical order, every sign pattern
+    lams = [ip_(1), ip_(2), ip_(1, 1), ip_(3, 1), ip_(2, 2), ip_(2, 1, 1), ip_(4)]
+    exprs = [
+        SymExpr("e", {lam: sign for lam, sign in zip(reversed(lams), signs)})
+        for signs in itertools.product((1, -1), repeat=len(lams))
+    ]
+    exprs += [s_elt("x", n) for n in range(1, 6)]
+    exprs += [SymExpr("x", {ip_(4): 1, ip_(3, 1): 2, ip_(2, 1, 1): -3})]
+    for expr in exprs:
+        text = format_terms(convert_sym(expr, "e"))
+        first = re.search(r"(?:^-| - )[\d/]+\*e\{([\d,]+)\}", text)
+        ok, offender = is_e_positive(expr)
+        if first is None:
+            assert (ok, offender) == (True, None), text
+        else:
+            parts = map(int, first.group(1).split(","))
+            assert not ok and offender[0] == ip_(*parts), text
 
 
 def test_x_basis_unitriangular():
