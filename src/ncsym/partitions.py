@@ -4,13 +4,21 @@ Text form of a set partition: blocks separated by ``/``, elements by ``,``,
 e.g. ``1,3/2,4``.  On input the single-digit shorthand ``13/24`` is accepted
 when the string contains no comma and every chunk consists of digits 1-9
 only; any comma, or any digit outside 1-9, switches parsing to the comma
-form (so ``10`` is the singleton block {10}, while ``13`` is {1,3}).  The
-empty partition prints as ``()``.
+form (so ``10`` is the singleton block {10}, while ``13`` is {1,3}).  One
+trailing comma is accepted and only forces the comma form; a partition into
+singletons with a label from 11 up and no zero digit prints with it
+(``15,`` is {15} and ``3/12,`` is {3}/{12}), because ``15`` reads as {1,5}.
+The empty partition prints as ``()``.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial, prod
+
+
+_INTERN_CAP = 1 << 16
+_interned: dict = {}  # canonical block tuple -> its one live SetPartition
 
 
 class SetPartition:
@@ -21,14 +29,24 @@ class SetPartition:
     of blocks and ``p.size`` the number of ground-set elements.  Instances
     are immutable; equality and hashing use the canonical block tuple.
 
+    Every construction returns the entry of one intern table keyed by the
+    canonical block tuple, so equal partitions built while the table holds
+    one are the same object and dict hits on them never compare blocks.
+    Identity is only a fast path: the table is emptied whole when it
+    reaches ``_INTERN_CAP`` entries (or by ``_intern.cache_clear()``), and
+    equality still compares blocks for partitions built on either side of
+    a clear.  ``rgs()`` and ``str()`` are computed once per instance.
+
     The public constructor validates its input.  The lattice enumerators and
     the order-preserving relabelings, which produce canonical form by
     construction, build instances through ``_trusted`` instead.
     """
 
-    __slots__ = ("blocks", "ground", "_hash")
+    # one memo slot, filled on first use: a fifth slot would add 16 bytes to
+    # every instance, memoized or not
+    __slots__ = ("blocks", "ground", "_hash", "_memo")
 
-    def __init__(self, blocks=()):
+    def __new__(cls, blocks=()):
         seen = set()
         canon = []
         for block in blocks:
@@ -42,22 +60,35 @@ class SetPartition:
             seen.update(blk)
             canon.append(blk)
         canon.sort()
-        self.blocks = tuple(canon)
-        self.ground = frozenset(seen)
-        self._hash = hash(self.blocks)
+        return _intern(tuple(canon), frozenset(seen))
 
-    @classmethod
-    def _trusted(cls, blocks: tuple, ground: frozenset) -> "SetPartition":
-        """An instance from blocks already in canonical form, unchecked.
+    def __init__(self, blocks=()):
+        """Nothing to do: ``__new__`` validates and interns.  Kept so that a
+        wrapper of ``__init__`` (perfbench's tracer) counts exactly the
+        validating constructions."""
+
+    @staticmethod
+    def _trusted(blocks: tuple, ground: frozenset) -> "SetPartition":
+        """The interned instance for blocks already in canonical form, unchecked.
 
         The caller guarantees that ``blocks`` is a tuple of ascending tuples
         ordered by their minima and that ``ground`` is their union.
         """
-        self = object.__new__(cls)
-        self.blocks = blocks
-        self.ground = ground
-        self._hash = hash(blocks)
-        return self
+        pi = _interned.get(blocks)
+        if pi is None:
+            if len(_interned) >= _INTERN_CAP:
+                _interned.clear()
+            pi = object.__new__(SetPartition)
+            pi.blocks = blocks
+            pi.ground = ground
+            pi._hash = hash(blocks)
+            _interned[blocks] = pi
+        return pi
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor, which
+        # re-interns; the memos are not carried
+        return SetPartition, (self.blocks,)
 
     @classmethod
     def empty(cls) -> "SetPartition":
@@ -79,8 +110,10 @@ class SetPartition:
         s = text.strip()
         if s in ("", "()"):
             return cls(())
+        if s.endswith(","):  # the printed form of 15 and 3/12: comma form
+            s = s[:-1]
         chunks = s.split("/")
-        if "," not in s and all(ch and all(c in "123456789" for c in ch) for ch in chunks):
+        if "," not in text and all(ch and all(c in "123456789" for c in ch) for ch in chunks):
             return cls(tuple(int(c) for c in ch) for ch in chunks)
         blocks = []
         for ch in chunks:
@@ -101,7 +134,7 @@ class SetPartition:
         return iter(self.blocks)
 
     def __eq__(self, other):
-        return isinstance(other, SetPartition) and self.blocks == other.blocks
+        return self is other or (isinstance(other, SetPartition) and self.blocks == other.blocks)
 
     def __hash__(self):
         return self._hash
@@ -110,9 +143,20 @@ class SetPartition:
         return f"SetPartition.parse({str(self)!r})"
 
     def __str__(self):
-        if not self.blocks:
-            return "()"
-        return "/".join(",".join(str(x) for x in blk) for blk in self.blocks)
+        try:
+            return self._memo[1]
+        except AttributeError:
+            return self._memoize()[1]
+
+    def _memoize(self) -> tuple:
+        """Store and return (restricted growth string, text)."""
+        blocks, ground = self.blocks, self.ground
+        index = {x: i for i, blk in enumerate(blocks) for x in blk}
+        text = "/".join(",".join(map(str, blk)) for blk in blocks) if blocks else "()"
+        if len(blocks) == len(ground) and max(ground, default=0) > 9 and "0" not in text:
+            text += ","  # all singletons: the digit-string form would read 15 as 1,5
+        self._memo = memo = (tuple(index[x] for x in sorted(ground)), text)
+        return memo
 
     def is_standard(self) -> bool:
         """True when the ground set is exactly {1, ..., n}."""
@@ -124,8 +168,10 @@ class SetPartition:
 
     def rgs(self) -> tuple:
         """Restricted growth string read along the sorted ground set."""
-        index = {x: i for i, blk in enumerate(self.blocks) for x in blk}
-        return tuple(index[x] for x in sorted(self.ground))
+        try:
+            return self._memo[0]
+        except AttributeError:
+            return self._memoize()[0]
 
     def standardize(self) -> "SetPartition":
         """Relabel through the order-preserving bijection onto {1, ..., n}."""
@@ -152,6 +198,15 @@ class SetPartition:
     def relabel(self, mapping) -> "SetPartition":
         """Push the partition through an injective map given as a dict."""
         return SetPartition(tuple(mapping[x] for x in blk) for blk in self.blocks)
+
+
+# The intern table is emptied like every ``lru_cache``: through a module-level
+# function carrying ``cache_info()`` and ``cache_clear()``.  Hits and misses
+# are not counted, to keep the lookup as cheap as a dict hit.
+_InternInfo = namedtuple("_InternInfo", "maxsize currsize")
+_intern = SetPartition._trusted
+_intern.cache_info = lambda: _InternInfo(_INTERN_CAP, len(_interned))
+_intern.cache_clear = _interned.clear
 
 
 class IntegerPartition:
