@@ -12,13 +12,15 @@ power sum basis:
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
 The four composites that involve m do not walk the comparable pairs through
-p.  One walk over the partitions nu of the key's ground set,
-``_by_signature``, records for each block of nu how many of its elements
-fall in each block of the key.  These counts, the signature, fix the meet
-and the join of the key with nu, so the coefficient is computed once per
-distinct signature and a target is built only when it is nonzero:
+p.  e at s -> m at nu is 1 when the meet of s and nu is the bottom, else 0:
+one walk over the partitions nu of the key's ground set that never puts two
+elements of one block of s together visits exactly these nu.  For the other
+three, one such walk, ``_by_signature``, records for each block of nu how
+many of its elements fall in each block of the key.  These counts, the
+signature, fix the meet and the join of the key with nu, so the coefficient
+is computed once per distinct signature and a target is built only when it
+is nonzero:
 
-    e at s   -> m at nu: 1 when the meet of s and nu is the bottom, else 0
     x at pi  -> m at nu: product over blocks B of pi of g(shape of nu on B),
                 g summing mu(sigma, top) over the refinements of one shape
     m at tau -> x at nu: sum over the coarsenings of the join of tau and nu
@@ -26,10 +28,9 @@ distinct signature and a target is built only when it is nonzero:
     m at tau -> e at nu: the same sum with group weight
                 mu1(tau blocks) mu1(nu blocks) / mu1(size)
 
-where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks.  The e -> m walk never
-puts two elements of one block of s together, so it visits only the nu with
-a nonzero coefficient.  The join sums depend only on the (size, tau blocks,
-nu blocks) profile of the join's blocks and are memoized on it.
+where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks.  The join sums depend
+only on the (size, tau blocks, nu blocks) profile of the join's blocks and
+are memoized on it.
 
 x <-> e walks the refinements sigma of the key pi once.  The interval from
 sigma to pi is the product, over the blocks B of pi, of the partition
@@ -82,9 +83,9 @@ from .lattice import (
     interval,
     merge_mobius,
     mobius,
-    refinement_counts,
     refinements,
     set_partitions,
+    top_refinement_sum,
 )
 from .limits import check_degree
 from .partitions import (
@@ -199,7 +200,13 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
         unit = _e_scale(pi.size) // mobius(_bottom(pi.ground), pi)
         return tuple((sigma, mobius(sigma, pi) * unit) for sigma in refinements(pi))
     if route == ("e", "m"):
-        return _by_signature(pi, _e_to_m, distinct=True)
+        owner = {x: 1 << i for i, blk in enumerate(pi.blocks) for x in blk}
+        elems = sorted(pi.ground)
+        unit = [owner[x] for x in elems]
+        return tuple(
+            (SetPartition._trusted(blocks, pi.ground), 1)
+            for blocks, _ in _rgs_blocks(elems, unit, unit)
+        )
     if route == ("x", "m"):
         return _by_signature(pi, _x_to_m)
     if basis == "m":
@@ -273,15 +280,14 @@ def _groupings(target: str, sizes: tuple) -> tuple:
     return tuple(out)
 
 
-def _by_signature(pi: SetPartition, coefficient, distinct: bool = False) -> tuple:
+def _by_signature(pi: SetPartition, coefficient) -> tuple:
     """(nu, c) for every partition nu of pi's ground set with a nonzero
     c = coefficient(width, signature), in ``set_partitions`` order.
 
     The signature records, for each block of nu, how many of its elements
     fall in each block of pi: one int per block of nu, the count for block
     i of pi in bits [width * i, width * (i + 1)), the ints sorted.  The
-    coefficient is computed once per distinct signature.  ``distinct`` skips
-    every nu with two elements of one block of pi in one block.
+    coefficient is computed once per distinct signature.
     """
     width = pi.size.bit_length()
     field = {x: 1 << width * i for i, blk in enumerate(pi.blocks) for x in blk}
@@ -289,7 +295,7 @@ def _by_signature(pi: SetPartition, coefficient, distinct: bool = False) -> tupl
     unit = [field[x] for x in elems]
     seen = {}
     out = []
-    for blocks, words in _rgs_blocks(elems, unit, unit if distinct else None):
+    for blocks, words in _rgs_blocks(elems, unit):
         sig = tuple(sorted(words))
         c = seen.get(sig)
         if c is None:
@@ -317,13 +323,6 @@ def _support(width: int, word: int) -> tuple:
     return sum(1 << i for i, _ in fields), sum(c for _, c in fields)
 
 
-def _e_to_m(width: int, sig: tuple) -> int:
-    """e at s -> m at nu: one when the meet of s and nu is the bottom, that
-    is every block of nu meets as many blocks of s as it has elements."""
-    supports = (_support(width, word) for word in sig)
-    return int(all(mask.bit_count() == size for mask, size in supports))
-
-
 def _x_to_m(width: int, sig: tuple) -> int:
     """x at pi -> m at nu: the product over blocks B of pi of g(shape of nu
     on B).
@@ -338,15 +337,8 @@ def _x_to_m(width: int, sig: tuple) -> int:
     coeff = 1
     for sizes in traces.values():
         sizes.sort()
-        coeff *= _top_refinement_sum(tuple(sizes))
+        coeff *= top_refinement_sum(tuple(sizes))
     return coeff
-
-
-@lru_cache(maxsize=None)
-def _top_refinement_sum(sizes: tuple) -> int:
-    """g: the sum of mu(sigma, top) over the refinements sigma of a partition
-    with these block sizes, from the refinement counts by number of blocks."""
-    return sum(c * merge_mobius(j) for j, c in enumerate(refinement_counts(sizes)) if c)
 
 
 def _m_to(target: str, scale: int, width: int, sig: tuple) -> int:

@@ -134,33 +134,35 @@ def refinements(pi: SetPartition):
         yield SetPartition._trusted(blocks, pi.ground)
 
 
-def coarsenings(pi: SetPartition):
-    """Yield every partition coarser than or equal to ``pi``."""
+def _merges(blocks):
+    """The canonical block tuples of every coarsening of canonical
+    ``blocks``: one walk over the groupings of the block indices."""
     # Groups of block indices come ordered by their least index, so the
     # merged blocks come ordered by their minima.
-    for grouping in _rgs_blocks(range(len(pi.blocks))):
-        yield SetPartition._trusted(
-            tuple(
-                tuple(sorted(itertools.chain.from_iterable(pi.blocks[i] for i in grp)))
-                for grp in grouping
-            ),
-            pi.ground,
+    for grouping in _rgs_blocks(range(len(blocks))):
+        yield tuple(
+            tuple(sorted(itertools.chain.from_iterable(blocks[i] for i in grp)))
+            for grp in grouping
         )
+
+
+def coarsenings(pi: SetPartition):
+    """Yield every partition coarser than or equal to ``pi``."""
+    for blocks in _merges(pi.blocks):
+        yield SetPartition._trusted(blocks, pi.ground)
 
 
 def interval(lower: SetPartition, upper: SetPartition):
     """Yield all partitions between ``lower`` and ``upper``; empty unless lower <= upper."""
     _require_same_ground(lower, upper)
-    if not is_refinement(lower, upper):
-        return
     owner = _owner_map(upper)
     bundles = [[] for _ in upper.blocks]
     for blk in lower.blocks:
-        bundles[owner[blk[0]]].append(blk)
-    choices = []
-    for bundle, top in zip(bundles, upper.blocks):
-        local = SetPartition._trusted(tuple(bundle), frozenset(top))
-        choices.append([part.blocks for part in coarsenings(local)])
+        i = owner[blk[0]]
+        if any(owner[x] != i for x in blk):
+            return
+        bundles[i].append(blk)
+    choices = [list(_merges(bundle)) for bundle in bundles]
     for combo in itertools.product(*choices):
         blocks = tuple(sorted(itertools.chain.from_iterable(combo)))
         yield SetPartition._trusted(blocks, lower.ground)
@@ -218,6 +220,15 @@ def refinement_counts(sizes: tuple) -> tuple:
             for j, b in enumerate(row):
                 out[i + j] += a * b
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def top_refinement_sum(sizes: tuple) -> int:
+    """g: the sum of mu(sigma, top) over the refinements sigma of a partition
+    whose blocks have these sizes.  The x -> m weight of a block of pi, and
+    at (l, r) the x coproduct weight of a block holding l left and r right
+    leg blocks, whose upper interval is a partition lattice."""
+    return sum(c * merge_mobius(j) for j, c in enumerate(refinement_counts(sizes)) if c)
 
 
 @lru_cache(maxsize=None)

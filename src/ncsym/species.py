@@ -9,23 +9,23 @@ the splitting coefficients (`c_coefficient`).  Every coproduct term, graded
 or species, is a product over the blocks of pi of one choice per block
 (`_block_splits`): m and p send the block whole to one leg, e splits it into
 its two parts, and x takes a pair of partitions of the parts, weighted by
-their block counts (`_x_weight`).  `c_coefficient` sums Möbius values over
-the interval instead, the independent route to the x coefficients.  The
-graded product in `expressions` applies `mu_key` to the second key shifted
-past the first on m; the graded coproduct, and so `fock_coproduct`, lets
-every subset of each block be its left part and standardizes the legs.  e
-is not a species basis: its graded product concatenates keys.
+their block counts (`lattice.top_refinement_sum`).  `c_coefficient` sums
+Möbius values over the interval instead, the independent route to the x
+coefficients.  The graded product in `expressions` applies `mu_key` to the
+second key shifted past the first on m; the graded coproduct, and so
+`fock_coproduct`, lets every subset of each block be its left part and
+standardizes the legs.  e is not a species basis: its graded product
+concatenates keys.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 
 from .combination import Combination, bilinear, linear
-from .lattice import _rgs_blocks, _stirling_row, interval, merge_mobius, mobius
+from .lattice import _rgs_blocks, interval, mobius, top_refinement_sum
 from .limits import check_degree
 from .partitions import SetPartition, disjoint_union
 
@@ -153,7 +153,8 @@ def _block_splits(basis: str, blk: tuple, left: tuple) -> list:
 
     m, p: the block goes whole to one leg, so a straddled block has none.
     e: the block splits into its two parts.  x: every pair of partitions of
-    the two parts, weighted by ``_x_weight`` of their block counts.
+    the two parts, weighted by ``lattice.top_refinement_sum`` of their block
+    counts.
     """
     right = tuple(x for x in blk if x not in left)
     if basis != "x":
@@ -164,7 +165,7 @@ def _block_splits(basis: str, blk: tuple, left: tuple) -> list:
         (lb, rb, w)
         for lb in _rgs_blocks(left)
         for rb in rights
-        if (w := _x_weight(len(lb), len(rb)))
+        if (w := top_refinement_sum((len(lb), len(rb))))
     ]
 
 
@@ -184,25 +185,6 @@ def _split_terms(basis: str, pi: SetPartition, lefts):
         left = tuple(sorted(itertools.chain.from_iterable(c[0] for c in combo)))
         right = tuple(sorted(itertools.chain.from_iterable(c[1] for c in combo)))
         yield left, right, prod(c[2] for c in combo)
-
-
-@lru_cache(maxsize=None)
-def _x_weight(l: int, r: int) -> int:
-    """The x coproduct weight of one block of pi holding l left and r right
-    leg blocks, l + r > 0.
-
-    The interval above those l + r blocks inside the block is a partition
-    lattice, so the Möbius sum over it is sum_{i,j} S(l, i) S(r, j)
-    mu1(i + j).  It vanishes when one side is empty and the other has more
-    than one block.
-    """
-    return sum(
-        a * b * merge_mobius(i + j)
-        for i, a in enumerate(_stirling_row(l))
-        if a
-        for j, b in enumerate(_stirling_row(r))
-        if b
-    )
 
 
 def _decomposition(ground: frozenset, s1, s2) -> tuple:

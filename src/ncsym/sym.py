@@ -5,11 +5,11 @@ projection rho sends b at a set partition of shape lam to
 ``rho_scalar(b, lam)`` times b at lam: lam^! on m, lam! on e and one on p
 and x (Rosas-Sagan).  So b at lam is rho of the NCSym row of b at
 ``bracket(lam)``, divided by b's scalar at lam: each target key collapses
-to its shape and is weighted by the target's scalar there.  x <-> e goes
-through the p row, collapsed to shapes first, so that no one-block x <-> e
-row walks its comparable pairs.  The operations extend their key rules
-through ``combination.linear``/``bilinear``.  The monomial oracle is not
-used here; it expands the same elements as polynomials and checks them.
+to its shape and is weighted by the target's scalar there.  The product
+of two keys is rho of the NCSym product at their brackets in the same way.
+The operations extend their key rules through ``combination.linear``/
+``bilinear``.  The monomial oracle is not used here; it expands the same
+elements as polynomials and checks them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .limits import check_degree
 from .partitions import (
     IntegerPartition,
     bracket,
-    concat,
     lambda_factorial,
     lambda_superfactorial,
 )
@@ -81,28 +80,31 @@ def rho_scalar(basis: str, lam: IntegerPartition) -> int:
     return 1
 
 
+def _rho_row(basis: str, pairs, scale: int) -> tuple:
+    """rho of (set partition, weight) pairs in ``basis``, over scale: each
+    key collapses to its shape, weighted by ``rho_scalar(basis, shape)``."""
+    shapes = {}
+    for sigma, w in pairs:
+        gam = sigma.shape()
+        shapes[gam] = shapes.get(gam, 0) + w
+    return tuple(
+        (gam, Fraction(c * rho_scalar(basis, gam), scale))
+        for gam, c in shapes.items()
+        if c
+    )
+
+
 @lru_cache(maxsize=None)
 def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
     """Coordinates of one basis element in the target basis, as key/value
     pairs: rho of the NCSym row at ``bracket(lam)`` over b's scalar at lam
     (and over the row's scale, for a row into e)."""
-    if {basis, target} == {"x", "e"}:
-        prow = dict(_key_convert_sym(basis, "p", lam))
-        return tuple(linear(prow, partial(_key_convert_sym, "p", target)).items())
     from .expressions import _e_scale, _key_convert
 
-    shapes = {}
-    for sigma, w in _key_convert(basis, target, bracket(lam)):
-        gam = sigma.shape()
-        shapes[gam] = shapes.get(gam, 0) + w
     scale = rho_scalar(basis, lam)
     if target == "e":
         scale *= _e_scale(lam.n)
-    return tuple(
-        (gam, Fraction(c * rho_scalar(target, gam), scale))
-        for gam, c in shapes.items()
-        if c
-    )
+    return _rho_row(target, _key_convert(basis, target, bracket(lam)), scale)
 
 
 def convert_sym(expr: SymExpr, target: str) -> SymExpr:
@@ -117,20 +119,29 @@ def convert_sym(expr: SymExpr, target: str) -> SymExpr:
     return SymExpr(target, linear(expr.terms, rule))
 
 
+def _key_product_sym(basis: str, lam: IntegerPartition, gam: IntegerPartition) -> tuple:
+    """Product of two basis keys: rho of the NCSym product of b at the two
+    brackets, over b's scalars at lam and gam."""
+    from .expressions import _key_product
+
+    scale = rho_scalar(basis, lam) * rho_scalar(basis, gam)
+    return _rho_row(basis, _key_product(basis, bracket(lam), bracket(gam)), scale)
+
+
 def product_sym(a: SymExpr, b: SymExpr) -> SymExpr:
-    """Bilinear product; multiplicative bases concatenate keys, m routes through p."""
+    """Bilinear product in the left operand's basis, the right one converted first."""
     if not isinstance(b, SymExpr):
         return a.scale(b)
     basis = a.basis
-    if basis == "m":
-        return convert_sym(product_sym(convert_sym(a, "p"), convert_sym(b, "p")), "m")
     right = convert_sym(b, basis).terms
-    terms = bilinear(a.terms, right, lambda lam, gam: ((concat(lam, gam), 1),))
-    return SymExpr(basis, terms)
+    return SymExpr(basis, bilinear(a.terms, right, partial(_key_product_sym, basis)))
 
 
 def omega_sym(expr: SymExpr) -> SymExpr:
-    """The involution scaling each power sum term by (-1)^(n - number of parts)."""
+    """The involution scaling each power sum term by (-1)^(n - number of parts).
+
+    Its own sign rule on p, not rho of ``omega``: it is the independent side
+    of the check that ``omega`` commutes with rho."""
     pe = convert_sym(expr, "p").terms
     terms = linear(pe, lambda lam: ((lam, (-1) ** (lam.n - len(lam.parts))),))
     return convert_sym(SymExpr("p", terms), expr.basis)

@@ -35,3 +35,34 @@ def imported_names(module) -> set:
             for alias in node.names:
                 imported.update(alias.name.split("."))
     return imported
+
+
+def reachable_names(module, start):
+    """Every name a module-level function uses, following calls to the
+    module's other functions."""
+    functions = {
+        node.name: node
+        for node in ast.parse(Path(module.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, names = set(), [start], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                used = node.id
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((getattr(node, "module", None) or "").split("."))
+                names.update(alias.name for alias in node.names)
+                continue
+            else:
+                continue
+            names.add(used)
+            if used in functions:
+                todo.append(used)
+    return names

@@ -38,7 +38,7 @@ from ncsym import (
 from ncsym import checks, expressions, graphs, lattice, monomials, species
 from ncsym.expressions import BASES, _key_convert
 
-from conftest import elt, imported_names, ip_, sp_
+from conftest import elt, imported_names, ip_, reachable_names, sp_
 
 
 def top(n):
@@ -503,37 +503,6 @@ def test_convert_accumulates_over_a_common_denominator():
         ) * Fraction(1, 2)
 
 
-def _reachable_names(module, start):
-    """Every name a module-level function uses, following calls to the
-    module's other functions."""
-    functions = {
-        node.name: node
-        for node in ast.parse(Path(module.__file__).read_text()).body
-        if isinstance(node, ast.FunctionDef)
-    }
-    seen, todo, names = set(), [start], set()
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name):
-                used = node.id
-            elif isinstance(node, ast.Attribute):
-                used = node.attr
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names.update((getattr(node, "module", None) or "").split("."))
-                names.update(alias.name for alias in node.names)
-                continue
-            else:
-                continue
-            names.add(used)
-            if used in functions:
-                todo.append(used)
-    return names
-
-
 def test_oracle_routes_stay_independent():
     # x -> m takes its block weight from the lattice, not from the orientation
     # counts that x_to_m_top and the x-to-m check compare it with
@@ -543,29 +512,32 @@ def test_oracle_routes_stay_independent():
         "chromatic_polynomial",
         "x_to_m_top",
     }
-    assert not _reachable_names(expressions, "_key_convert") & orientation_route
+    assert not reachable_names(expressions, "_key_convert") & orientation_route
     assert "graphs" not in imported_names(lattice)
-    orientation_names = _reachable_names(graphs, "count_acyclic_unique_sink")
+    orientation_names = reachable_names(graphs, "count_acyclic_unique_sink")
     assert "refinement_counts" not in orientation_names
-    assert not _reachable_names(expressions, "x_to_m_top") & {
+    assert not reachable_names(expressions, "x_to_m_top") & {
         "_key_convert",
         "_x_to_m",
-        "_top_refinement_sum",
+        "top_refinement_sum",
         "refinement_counts",
     }
     # the basis changes that involve m read their coefficients off one
-    # signature walk; the routes they are checked against never reach it
-    signature_route = {"_by_signature", "_e_to_m", "_x_to_m", "_m_to"}
-    assert signature_route <= _reachable_names(expressions, "_key_convert")
+    # signature walk, or e -> m off one clash walk with weight one; the
+    # routes they are checked against never reach them
+    signature_route = {"_by_signature", "_x_to_m", "_m_to", "top_refinement_sum"}
+    assert signature_route | {"_rgs_blocks"} <= reachable_names(
+        expressions, "_key_convert"
+    )
     # the rows into e carry a scale that only their readers divide out
-    assert "_e_scale" in _reachable_names(expressions, "_key_convert")
+    assert "_e_scale" in reachable_names(expressions, "_key_convert")
     table_route = signature_route | {"_e_scale"}
     for name in (
         "x_to_m_top",
         "x_e_expansion_coefficient",
         "x_top_coproduct_coefficient",
     ):
-        assert not _reachable_names(expressions, name) & table_route, name
+        assert not reachable_names(expressions, name) & table_route, name
     for name in (
         "bell_triangle",
         "_mobius_recursion",
@@ -573,7 +545,7 @@ def test_oracle_routes_stay_independent():
         "_stable_partitions",
         "_chromatic_values",
     ):
-        assert not _reachable_names(checks, name) & table_route, name
+        assert not reachable_names(checks, name) & table_route, name
     assert "expressions" not in imported_names(monomials)
     assert "_e_scale" not in Path(monomials.__file__).read_text()
     # x <-> e multiplies the block weights h and f over the refinements of
@@ -581,15 +553,15 @@ def test_oracle_routes_stay_independent():
     # once per shape, and neither the interval sum nor the report's helper
     # reaches the tables or the block weights
     shape_route = {"_by_block_shape", "_x_to_e_block", "_e_to_x_block", "_groupings"}
-    assert shape_route <= _reachable_names(expressions, "_key_convert")
-    assert not _reachable_names(expressions, "_key_convert") & {
+    assert shape_route <= reachable_names(expressions, "_key_convert")
+    assert not reachable_names(expressions, "_key_convert") & {
         "interval",
         "x_e_expansion_coefficient",
     }
-    assert not _reachable_names(expressions, "x_e_expansion_coefficient") & (
+    assert not reachable_names(expressions, "x_e_expansion_coefficient") & (
         shape_route | {"_key_convert", "convert"}
     )
-    report_oracle = _reachable_names(checks, "_interval_sum_by_shape")
+    report_oracle = reachable_names(checks, "_interval_sum_by_shape")
     assert "x_e_expansion_coefficient" in report_oracle
     assert not report_oracle & (
         shape_route | {"_key_convert", "convert", "set_partitions_of_shape", "bracket"}
@@ -597,21 +569,23 @@ def test_oracle_routes_stay_independent():
     # every coproduct, graded or species, multiplies the block choices of
     # one split rule, which reads the x block weights; the interval sums and
     # the check that compare with it never reach that rule or those weights
-    split_rule = {"_split_terms", "_block_splits", "_x_weight"}
-    assert "_split_terms" in _reachable_names(expressions, "_key_coproduct")
-    assert {"_block_splits", "_x_weight"} <= _reachable_names(species, "_split_terms")
-    assert split_rule <= _reachable_names(species, "delta_key")
+    split_rule = {"_split_terms", "_block_splits", "top_refinement_sum"}
+    assert "_split_terms" in reachable_names(expressions, "_key_coproduct")
+    assert {"_block_splits", "top_refinement_sum"} <= reachable_names(
+        species, "_split_terms"
+    )
+    assert split_rule <= reachable_names(species, "delta_key")
     interval_route = {"mobius", "interval", "refinements", "c_coefficient"}
-    assert not _reachable_names(species, "delta_key") & interval_route
-    assert not _reachable_names(expressions, "_key_coproduct") & (
+    assert not reachable_names(species, "delta_key") & interval_route
+    assert not reachable_names(expressions, "_key_coproduct") & (
         interval_route | {"x_coproduct_coefficient"}
     )
-    assert not _reachable_names(species, "c_coefficient") & (split_rule | {"delta_key"})
+    assert not reachable_names(species, "c_coefficient") & (split_rule | {"delta_key"})
     for name in ("x_coproduct_coefficient", "x_top_coproduct_coefficient"):
-        assert not _reachable_names(expressions, name) & (
+        assert not reachable_names(expressions, name) & (
             split_rule | {"delta_key", "_key_coproduct"}
         ), name
-    assert not _reachable_names(checks, "_species_x_coproduct") & split_rule
+    assert not reachable_names(checks, "_species_x_coproduct") & split_rule
 
 
 def test_hopf_operations_use_their_own_rules():
@@ -619,9 +593,9 @@ def test_hopf_operations_use_their_own_rules():
     # detours through another basis, and the m product rule lives in species
     conversions = {"convert", "_key_convert", "convert_sym"}
     for name in ("_key_product", "tensor_product", "_key_coproduct", "rho"):
-        assert not _reachable_names(expressions, name) & conversions, name
-    assert "mu_key" in _reachable_names(expressions, "_key_product")
-    assert "permutations" not in _reachable_names(expressions, "_key_product")
+        assert not reachable_names(expressions, name) & conversions, name
+    assert "mu_key" in reachable_names(expressions, "_key_product")
+    assert "permutations" not in reachable_names(expressions, "_key_product")
     # product converts only its right operand
     tree = next(
         node

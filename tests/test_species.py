@@ -20,9 +20,9 @@ from ncsym import (
     species_mu,
     tensor_convert,
 )
-from ncsym.lattice import mobius, refinements
+from ncsym.lattice import merge_mobius, mobius, refinements, top_refinement_sum
 from ncsym.partitions import disjoint_union
-from ncsym.species import _x_weight, delta_key
+from ncsym.species import delta_key
 
 from conftest import sp_
 
@@ -121,12 +121,29 @@ def test_block_factored_x_rule_matches_the_refinement_pair_sum():
                     assert dict(got) == _refinement_pair_rule(pi, s1, s2), (pi, s1)
 
 
+def _stirling(b, j):
+    if b == 0 or j == 0:
+        return int(b == j)
+    return j * _stirling(b - 1, j) + _stirling(b - 1, j - 1)
+
+
 def test_x_weight_table():
+    g = top_refinement_sum
     for l in range(1, 8):
-        assert _x_weight(l, 0) == _x_weight(0, l) == (l == 1)
+        assert g((l, 0)) == g((0, l)) == (l == 1)
         for r in range(8):
-            assert _x_weight(l, r) == _x_weight(r, l)
-    assert (_x_weight(1, 1), _x_weight(2, 2), _x_weight(3, 3)) == (-1, -3, -31)
+            assert g((l, r)) == g((r, l))
+    assert (g((1, 1)), g((2, 2)), g((3, 3))) == (-1, -3, -31)
+    # the Möbius sum over the lattice above l + r blocks, one block of pi
+    for l, r in itertools.product(range(11), repeat=2):
+        if l + r:
+            want = sum(
+                _stirling(l, i) * _stirling(r, j) * merge_mobius(i + j)
+                for i in range(l + 1)
+                for j in range(r + 1)
+                if i + j
+            )
+            assert g((l, r)) == want, (l, r)
 
 
 def test_x_weight_is_the_one_block_splitting_coefficient():
@@ -138,7 +155,7 @@ def test_x_weight_is_the_one_block_splitting_coefficient():
             s1 = set(range(1, l + 1))
             s2 = set(range(l + 1, total + 1))
             b, c = SetPartition.singletons(s1), SetPartition.singletons(s2)
-            assert c_coefficient(pi, s1, s2, b, c) == _x_weight(l, total - l)
+            assert c_coefficient(pi, s1, s2, b, c) == top_refinement_sum((l, total - l))
 
 
 def test_c_coefficient_values():

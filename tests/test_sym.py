@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from ncsym import (
+    CPolynomial,
     IntegerPartition,
     SymExpr,
     convert_sym,
@@ -17,10 +18,11 @@ from ncsym import (
     product_sym,
     rho,
 )
+from ncsym import sym
 from ncsym.parsing import format_terms
 from ncsym.partitions import concat, lambda_factorial, lambda_superfactorial
 
-from conftest import ip_
+from conftest import ip_, reachable_names
 
 
 def s_elt(basis, *parts):
@@ -52,8 +54,6 @@ def test_convert_round_trips():
 
 
 def test_convert_matches_oracle():
-    from ncsym import CPolynomial
-
     for n in range(7):
         k = max(n, 1)
         for lam in integer_partitions(n):
@@ -102,6 +102,60 @@ def test_product():
     assert product_sym(SymExpr.unit("m"), b) == b
     assert product_sym(s_elt("e", 2), s_elt("e", 1)) == s_elt("e", 2, 1)
     assert product_sym(s_elt("p", 2), s_elt("p", 1)) == s_elt("p", 2, 1)
+
+
+def test_product_matches_oracle():
+    # every basis is multiplicative on polynomials: the product of two keys
+    # expands to the product of their expansions
+    keys = [lam for n in range(6) for lam in integer_partitions(n)]
+    for lam, gam in itertools.product(keys, repeat=2):
+        n = lam.n + gam.n
+        if n > 5:
+            continue
+        k = max(n, 1)
+        for basis in "mpex":
+            got = product_sym(SymExpr.element(basis, lam), SymExpr.element(basis, gam))
+            acc = CPolynomial(k)
+            for mu, c in got.terms.items():
+                acc = acc + c * expand_c(basis, mu, k)
+            assert acc == expand_c(basis, lam, k) * expand_c(basis, gam, k), (
+                basis,
+                lam,
+                gam,
+            )
+
+
+def test_rules_are_rho_of_the_ncsym_rules(monkeypatch):
+    # the row and product rules collapse NCSym rules and never detour
+    # through another Sym basis
+    for rule, ncsym_rule in (
+        ("_key_convert_sym", "_key_convert"),
+        ("_key_product_sym", "_key_product"),
+    ):
+        names = reachable_names(sym, rule)
+        assert ncsym_rule in names and "_rho_row" in names, rule
+        assert not names & {"convert_sym", "concat"}, rule
+    calls = []
+    convert = sym.convert_sym
+
+    def recording(expr, target):
+        calls.append((expr, target))
+        return convert(expr, target)
+
+    monkeypatch.setattr(sym, "convert_sym", recording)
+    # product_sym converts only its right operand
+    for basis in "mpex":
+        a, b = s_elt(basis, 2, 1), s_elt("p" if basis != "p" else "x", 3, 1)
+        calls.clear()
+        product_sym(a, b)
+        assert calls == [(b, basis)], basis
+    # omega_sym keeps its own sign rule on p, the independent side of the
+    # omega/rho check
+    for basis in "mpex":
+        a = s_elt(basis, 3, 1)
+        calls.clear()
+        omega_sym(a)
+        assert [target for _, target in calls] == ["p", basis], basis
 
 
 def test_omega():
