@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import checks
 from .expressions import convert, coproduct, product
@@ -45,6 +46,37 @@ def _parse_int_set(text: str) -> frozenset:
         raise ParseError(f"malformed element set {text!r}", 0) from None
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """The text ``json.dumps`` writes for ``value`` at an indent of two with
+    sorted keys, built by one join per container: ints by ``int.__repr__``,
+    strings by the C string encoder, any other leaf by ``json.dumps``.  Dict
+    keys are sorted first and then stringified, as ``json`` does."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        rows = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+                    )
+                key = json.dumps(key)
+            rows.append(_quote(key) + ": " + _dumps(item, inner))
+        return "{" + inner + ("," + inner).join(rows) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(args, value, text=None, to_json=None) -> None:
     """Print ``value`` as ``to_json(value)`` under --json, else as ``text(value)``.
 
@@ -52,7 +84,7 @@ def _emit(args, value, text=None, to_json=None) -> None:
     called; only the requested form is rendered.
     """
     if getattr(args, "json", False):
-        print(json.dumps((to_json or terms_json)(value), indent=2, sort_keys=True))
+        print(_dumps((to_json or terms_json)(value)))
     else:
         print((text or format_terms)(value))
 

@@ -5,9 +5,12 @@ plus, for the species types, the ground sets its keys partition.  Every
 basis change, product and coproduct is the linear or bilinear extension of
 a rule on keys; ``linear`` and ``bilinear`` are the one kernel that extends
 a rule, accumulating integer numerators over the inputs' common denominator
-and dividing once per output key.  The independent monomial oracle keeps
-its own polynomial classes and does not use this module, and the checks do
-not use the kernel.
+and dividing once per output key into a nonzero ``Fraction``.  The kernels'
+rules build only valid keys, so each kernel wraps its result through the
+unchecked ``Combination._trusted``; only parsing and the public
+constructors validate keys and coefficients.  The independent monomial
+oracle keeps its own polynomial classes and does not use this module, and
+the checks do not use the kernel.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ def _numerators(terms: dict) -> tuple:
 
 
 def _divide(out: dict, den: int) -> dict:
-    return {k: Fraction(v, den) if den != 1 else v for k, v in out.items() if v}
+    """The nonzero accumulated values over den, every one a Fraction."""
+    if den != 1:
+        return {k: Fraction(v, den) for k, v in out.items() if v}
+    return {k: v if type(v) is Fraction else Fraction(v) for k, v in out.items() if v}
 
 
 def linear(terms: dict, rule) -> dict:
     """The linear extension of ``rule``, which maps a key to (key, weight)
-    pairs, applied to {key: rational coefficient}; zero results dropped."""
+    pairs, applied to {key: rational coefficient}: {key: nonzero Fraction}."""
     numerators, den = _numerators(terms)
     out = {}
     for key, a in numerators:
@@ -55,14 +61,16 @@ class Combination:
     """Immutable sparse rational combination of keys in one context.
 
     A subclass lists its ``BASES``, checks each key in ``_check_key``, and
-    returns from ``_context`` the constructor arguments that precede the
-    terms: the basis plus any ground sets.  Two combinations add only when their contexts
-    agree after ``_coerce`` has brought the right operand over, and raise
-    ``ValueError(_MISMATCH)`` otherwise; ``_product`` is the bilinear product
-    used when both factors are combinations.
+    names in ``_FIELDS`` the constructor arguments that precede the terms,
+    its context: the basis plus any ground sets.  Two combinations add only
+    when their contexts agree after ``_coerce`` has brought the right
+    operand over, and raise ``ValueError(_MISMATCH)`` otherwise;
+    ``_product`` is the bilinear product used when both factors are
+    combinations.
     """
 
     __slots__ = ("basis", "terms")
+    _FIELDS = ("basis",)
 
     _UNKNOWN_BASIS = "unknown basis {!r}"
 
@@ -78,8 +86,22 @@ class Combination:
                 clean[key] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, *args) -> "Combination":
+        """An instance from the constructor's arguments, unchecked.
+
+        The caller guarantees a basis in ``BASES``, frozenset grounds, keys
+        that ``_check_key`` accepts and nonzero ``Fraction`` coefficients;
+        the terms dict is kept, not copied.
+        """
+        self = object.__new__(cls)
+        for name, value in zip(cls._FIELDS, args):
+            setattr(self, name, value)
+        self.terms = args[-1]
+        return self
+
     def _context(self) -> tuple:
-        return (self.basis,)
+        return tuple(getattr(self, name) for name in self._FIELDS)
 
     def _new(self, terms) -> "Combination":
         return type(self)(*self._context(), terms)

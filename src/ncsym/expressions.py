@@ -55,7 +55,7 @@ have a denominator dividing (n-1)!.  So a row into e stores each
 coefficient times ``_e_scale(n)`` = (n-1)!, and every reader of such a row
 divides by that scale once per key.  Every operation below extends its rule
 on keys through ``combination.linear`` or ``bilinear``; results are
-Fractions throughout.
+Fractions throughout, and the kernels wrap them unchecked.
 
 Every Hopf operation uses its basis's own rule; p is a hub only for
 ``convert``.  The product of two keys is their shifted concatenation on the
@@ -403,7 +403,7 @@ def convert(expr: NCSymExpr, target: str) -> NCSymExpr:
     if target == "e":
         terms = {pi: c / _e_scale(pi.size) for pi, c in terms.items()}
     rule = partial(_key_convert, expr.basis, target)
-    return NCSymExpr(target, linear(terms, rule))
+    return NCSymExpr._trusted(target, linear(terms, rule))
 
 
 def _key_product(basis: str, k1: SetPartition, k2: SetPartition):
@@ -427,7 +427,7 @@ def product(a: NCSymExpr, b) -> NCSymExpr:
         return a.scale(b)
     basis = a.basis
     right = convert(b, basis).terms
-    return NCSymExpr(basis, bilinear(a.terms, right, partial(_key_product, basis)))
+    return NCSymExpr._trusted(basis, bilinear(a.terms, right, partial(_key_product, basis)))
 
 
 @lru_cache(maxsize=None)
@@ -459,11 +459,13 @@ def coproduct(expr: NCSymExpr) -> NCTensorExpr:
     for pi in expr.terms:
         check_degree(pi.size)
     rule = partial(_key_coproduct, expr.basis)
-    return NCTensorExpr(expr.basis, linear(expr.terms, rule))
+    return NCTensorExpr._trusted(expr.basis, linear(expr.terms, rule))
 
 
 def tensor_convert(t: NCTensorExpr, target: str) -> NCTensorExpr:
     """Convert both legs of every tensor term to the target basis."""
+    if target not in BASES:
+        raise ValueError(f"unknown basis {target!r}")
     if target == t.basis:
         return t
     for left, right in t.terms:
@@ -480,7 +482,7 @@ def tensor_convert(t: NCTensorExpr, target: str) -> NCTensorExpr:
         left, right = (_key_convert(t.basis, target, leg) for leg in key)
         return (((lt, rt), lc * rc) for lt, lc in left for rt, rc in right)
 
-    return NCTensorExpr(target, linear(terms, rule))
+    return NCTensorExpr._trusted(target, linear(terms, rule))
 
 
 def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:
@@ -493,7 +495,7 @@ def tensor_product(t1: NCTensorExpr, t2: NCTensorExpr) -> NCTensorExpr:
         left, right = (list(_key_product(basis, x, y)) for x, y in zip(a, b))
         return (((k1, k2), e1 * e2) for k1, e1 in left for k2, e2 in right)
 
-    return NCTensorExpr(basis, bilinear(t1.terms, t2.terms, rule))
+    return NCTensorExpr._trusted(basis, bilinear(t1.terms, t2.terms, rule))
 
 
 def _leg_placements(n: int, sigma: SetPartition, tau: SetPartition) -> list:
@@ -591,7 +593,7 @@ def rho(expr: NCSymExpr) -> _sym.SymExpr:
         lam = pi.shape()
         return ((lam, _sym.rho_scalar(expr.basis, lam)),)
 
-    return _sym.SymExpr(expr.basis, linear(expr.terms, rule))
+    return _sym.SymExpr._trusted(expr.basis, linear(expr.terms, rule))
 
 
 def _shape_blocks(n: int, parts: tuple):
@@ -668,7 +670,7 @@ def lift_R(expr: _sym.SymExpr) -> NCSymExpr:
     def rule(lam):
         return ((tau, 1) for tau in set_partitions_of_shape(lam))
 
-    return NCSymExpr("p", linear(scaled, rule))
+    return NCSymExpr._trusted("p", linear(scaled, rule))
 
 
 def x_to_m_top(n: int) -> NCSymExpr:

@@ -150,8 +150,9 @@ def _blocks(pi: SetPartition) -> list:
 
 
 def _key_rules(c):
-    """The sort key, the JSON fields and the term text ``text(key, mag)`` for
-    the keys of ``c``, picked once from their type: set partitions
+    """The sort key, the JSON fields and the term text ``text(key, mag)``,
+    ``mag`` the coefficient's magnitude as text, for the keys of ``c``,
+    picked once from their type: set partitions
     (``blocks``), integer partitions (``parts``), or tensor pairs of set
     partitions (``left_blocks``, ``right_blocks``, ordered leg by leg)."""
     basis = c.basis
@@ -163,7 +164,7 @@ def _key_rules(c):
 
         def text(key, mag):
             left, right = leg(key[0]), leg(key[1])
-            return f"1 (x) {right}" if mag == 1 and left == "1" else f"{mag}*{left} (x) {right}"
+            return f"1 (x) {right}" if mag == "1" and left == "1" else f"{mag}*{left} (x) {right}"
 
         return (
             lambda key: (_nc_sort_key(key[0]), _nc_sort_key(key[1])),
@@ -172,7 +173,7 @@ def _key_rules(c):
         )
 
     def text(key, mag):
-        return f"{mag}*{basis}{{{key}}}" if key else str(mag)
+        return f"{mag}*{basis}{{{key}}}" if key else mag
 
     if isinstance(first, IntegerPartition):
         return (
@@ -185,13 +186,20 @@ def _key_rules(c):
 
 def format_terms(c) -> str:
     """Canonical text of a combination: its terms in canonical order with
-    explicit magnitudes and signs, or ``0``."""
+    explicit magnitudes and signs, or ``0``.  A magnitude prints as
+    ``str(Fraction)`` does: ``num`` or ``num/den``."""
     order, _, text = _key_rules(c)
+    terms = c.terms
     out = []
-    for key in sorted(c.terms, key=order):
-        coeff = c.terms[key]
-        sign = (" - " if coeff < 0 else " + ") if out else ("-" if coeff < 0 else "")
-        out.append(sign + text(key, abs(coeff)))
+    for key in sorted(terms, key=order):
+        coeff = terms[key]
+        num, den = coeff.numerator, coeff.denominator
+        if num < 0:
+            num = -num
+            sign = " - " if out else "-"
+        else:
+            sign = " + " if out else ""
+        out.append(sign + text(key, str(num) if den == 1 else f"{num}/{den}"))
     return "".join(out) or "0"
 
 

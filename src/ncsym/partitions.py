@@ -345,7 +345,7 @@ def bracket(lam: IntegerPartition) -> SetPartition:
     for part in lam.parts:
         blocks.append(tuple(range(start, start + part)))
         start += part
-    return SetPartition(blocks)
+    return SetPartition._trusted(tuple(blocks), frozenset(range(1, start)))
 
 
 def slash(pi: SetPartition, sigma: SetPartition) -> SetPartition:

@@ -36,6 +36,7 @@ class SpeciesElement(Combination):
     """Sparse combination of partitions of one fixed ground set."""
 
     __slots__ = ("ground",)
+    _FIELDS = ("ground", "basis")
     BASES = BASES
     _UNKNOWN_BASIS = "unknown species basis {!r}"
     _MISMATCH = "can only add species elements on one ground set and basis"
@@ -47,9 +48,6 @@ class SpeciesElement(Combination):
     def _check_key(self, pi) -> None:
         if not isinstance(pi, SetPartition) or pi.ground != self.ground:
             raise ValueError(f"{pi} does not partition {sorted(self.ground)}")
-
-    def _context(self) -> tuple:
-        return (self.ground, self.basis)
 
     @classmethod
     def element(cls, basis: str, pi: SetPartition) -> "SpeciesElement":
@@ -64,6 +62,7 @@ class SpeciesTensor(Combination):
     """Sparse combination of partition pairs over one ordered ground decomposition."""
 
     __slots__ = ("left_ground", "right_ground")
+    _FIELDS = ("left_ground", "right_ground", "basis")
     BASES = BASES
     _UNKNOWN_BASIS = "unknown species basis {!r}"
     _MISMATCH = "tensor grounds or bases differ"
@@ -79,9 +78,6 @@ class SpeciesTensor(Combination):
             raise ValueError(
                 f"tensor key ({left}, {right}) does not match the declared grounds"
             )
-
-    def _context(self) -> tuple:
-        return (self.left_ground, self.right_ground, self.basis)
 
 
 def relabel(mapping: dict, v: SpeciesElement) -> SpeciesElement:
@@ -131,7 +127,7 @@ def species_mu(a: SpeciesElement, b: SpeciesElement) -> SpeciesElement:
             f"ground sets overlap: {sorted(a.ground)} and {sorted(b.ground)}"
         )
     terms = bilinear(a.terms, b.terms, lambda ka, kb: mu_key(a.basis, ka, kb))
-    return SpeciesElement(a.ground | b.ground, a.basis, terms)
+    return SpeciesElement._trusted(a.ground | b.ground, a.basis, terms)
 
 
 def delta_key(basis: str, pi: SetPartition, s1: frozenset, s2: frozenset):
@@ -202,7 +198,7 @@ def species_delta(v: SpeciesElement, s1, s2) -> SpeciesTensor:
     """Coproduct component at the ordered decomposition (s1, s2) of the ground set."""
     s1, s2 = _decomposition(v.ground, s1, s2)
     terms = linear(v.terms, lambda pi: delta_key(v.basis, pi, s1, s2))
-    return SpeciesTensor(s1, s2, v.basis, terms)
+    return SpeciesTensor._trusted(s1, s2, v.basis, terms)
 
 
 def c_coefficient(A: SetPartition, s1, s2, B: SetPartition, C: SetPartition) -> Fraction:

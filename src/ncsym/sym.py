@@ -116,7 +116,7 @@ def convert_sym(expr: SymExpr, target: str) -> SymExpr:
     for lam in expr.terms:
         check_degree(lam.n)
     rule = partial(_key_convert_sym, expr.basis, target)
-    return SymExpr(target, linear(expr.terms, rule))
+    return SymExpr._trusted(target, linear(expr.terms, rule))
 
 
 def _key_product_sym(basis: str, lam: IntegerPartition, gam: IntegerPartition) -> tuple:
@@ -134,7 +134,7 @@ def product_sym(a: SymExpr, b: SymExpr) -> SymExpr:
         return a.scale(b)
     basis = a.basis
     right = convert_sym(b, basis).terms
-    return SymExpr(basis, bilinear(a.terms, right, partial(_key_product_sym, basis)))
+    return SymExpr._trusted(basis, bilinear(a.terms, right, partial(_key_product_sym, basis)))
 
 
 def omega_sym(expr: SymExpr) -> SymExpr:

@@ -10,6 +10,7 @@ from ncsym import (
     integer_partitions,
     monomials,
     set_partitions,
+    species,
     x_e_expansion_coefficient,
 )
 from ncsym.cli import main
@@ -97,6 +98,30 @@ def test_oracle_positions_fail_on_a_wrong_action(monkeypatch):
     result = _oracle()[POSITIONS]
     assert not result.passed
     assert result.detail.startswith("24 failure(s), first: ")
+
+
+COMPATIBILITY = "product and coproduct compatibility diagram"
+
+
+def test_compatibility_diagram_fails_on_a_dropped_coproduct_term(monkeypatch):
+    passing = {r.name: r for r in checks.run_suite("hopf-axioms", max_n=3)}
+    real = species.species_delta
+
+    # the first term of every component on three or more elements is lost
+    def dropping(v, s1, s2):
+        t = real(v, s1, s2)
+        if len(v.ground) >= 3 and t.terms:
+            first = next(iter(t.terms))
+            terms = {k: c for k, c in t.terms.items() if k != first}
+            return species.SpeciesTensor(t.left_ground, t.right_ground, t.basis, terms)
+        return t
+
+    monkeypatch.setattr(species, "species_delta", dropping)
+    failing = {r.name: r for r in checks.run_suite("hopf-axioms", max_n=3)}
+    assert failing[COMPATIBILITY] == checks.CheckResult(
+        COMPATIBILITY, False, "144 failure(s), first: basis m, ([1],[]), a=1, b=2,3"
+    )
+    assert all(failing[name] == passing[name] for name in passing if name != COMPATIBILITY)
 
 
 def test_rank_sees_a_fractional_dependence():

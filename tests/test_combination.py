@@ -1,5 +1,6 @@
 import ast
 import operator
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,22 @@ from ncsym import (
     SpeciesTensor,
     SymExpr,
 )
-from ncsym import checks
+from ncsym import (
+    checks,
+    convert,
+    convert_sym,
+    coproduct,
+    integer_partitions,
+    lift_R,
+    product,
+    product_sym,
+    rho,
+    set_partitions,
+    species_delta,
+    species_mu,
+    tensor_convert,
+    tensor_product,
+)
 from ncsym.combination import Combination
 
 from conftest import imported_names, ip_, sp_
@@ -127,3 +143,87 @@ def test_monomial_oracle_shares_no_production_code():
         nodes = ast.walk(ast.parse(Path(module.__file__).read_text()))
         used = {getattr(node, "id", getattr(node, "attr", None)) for node in nodes}
         assert not (used | imported_names(module)) & {"linear", "bilinear"}
+
+
+# ------------------------------------------------- unchecked kernel results
+
+BASES = "mpex"
+NC_KEYS = [pi for n in range(4) for pi in set_partitions(range(1, n + 1))]
+SHAPES = [lam for n in range(5) for lam in integer_partitions(n)]
+
+
+def _terms(rng, keys):
+    """Up to four keys with nonzero coefficients, often integers."""
+    return {
+        key: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+        for key in rng.sample(keys, rng.randint(1, min(4, len(keys))))
+    }
+
+
+def _nc(rng, basis=None):
+    return NCSymExpr(basis or rng.choice(BASES), _terms(rng, NC_KEYS))
+
+
+def _tensor(rng, basis):
+    legs = [(a, b) for a in NC_KEYS for b in NC_KEYS if a.size + b.size <= 4]
+    return NCTensorExpr(basis, _terms(rng, legs))
+
+
+def _sym(rng, basis=None):
+    return SymExpr(basis or rng.choice(BASES), _terms(rng, SHAPES))
+
+
+def _species(rng, basis, ground):
+    return SpeciesElement(ground, basis, _terms(rng, list(set_partitions(ground))))
+
+
+def _split(rng, ground):
+    s1 = {x for x in ground if rng.random() < 0.5}
+    return s1, set(ground) - s1
+
+
+KERNELS = {
+    "convert": lambda rng: convert(_nc(rng), rng.choice(BASES)),
+    "product": lambda rng: product(_nc(rng), _nc(rng)),
+    "coproduct": lambda rng: coproduct(_nc(rng)),
+    "tensor_convert": lambda rng: tensor_convert(
+        _tensor(rng, rng.choice(BASES)), rng.choice(BASES)
+    ),
+    "tensor_product": lambda rng: tensor_product(
+        *[_tensor(rng, basis) for basis in [rng.choice(BASES)] * 2]
+    ),
+    "rho": lambda rng: rho(_nc(rng)),
+    "lift_R": lambda rng: lift_R(_sym(rng)),
+    "convert_sym": lambda rng: convert_sym(_sym(rng), rng.choice(BASES)),
+    "product_sym": lambda rng: product_sym(_sym(rng), _sym(rng)),
+    "species_mu": lambda rng: species_mu(
+        *[_species(rng, basis, g) for basis in [rng.choice("mpx")] for g in ((1, 2), (3, 4, 5))]
+    ),
+    "species_delta": lambda rng: species_delta(
+        _species(rng, rng.choice("mpx"), (2, 3, 5, 7)), *_split(rng, (2, 3, 5, 7))
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_results_hold_nonzero_fractions_and_valid_keys(kernel):
+    rng = random.Random(kernel)
+    for _ in range(20):
+        r = KERNELS[kernel](rng)
+        assert all(type(c) is Fraction and c for c in r.terms.values())
+        assert type(r)(*r._context(), r.terms) == r
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NCSymExpr("p", {sp_("2/3"): 1}),
+        lambda: SpeciesElement({1, 2}, "p", {sp_("1/3"): 1}),
+        lambda: NCTensorExpr("p", {(sp_("1"), sp_("2")): 1}),
+        lambda: SpeciesTensor({1}, {2}, "p", {(sp_("1"), sp_("3")): 1}),
+    ],
+    ids=["ncsym-non-standard", "species-outside-ground", "tensor-leg", "species-tensor-leg"],
+)
+def test_validating_constructors_still_reject_bad_keys(make):
+    with pytest.raises(ValueError):
+        make()

@@ -175,6 +175,15 @@ def test_bracket():
     assert bracket(IntegerPartition()) == SetPartition.empty()
 
 
+def test_bracket_is_the_partition_the_validating_constructor_builds():
+    # bracket builds its consecutive blocks unchecked
+    for n in range(9):
+        for lam in integer_partitions(n):
+            pi = bracket(lam)
+            assert pi is SetPartition(pi.blocks)
+            assert pi.ground == frozenset(range(1, n + 1)) and pi.shape() == lam
+
+
 def test_permutation_group_laws():
     perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
     pi = sp_("13/24")

@@ -179,3 +179,28 @@ def test_tensor_json_rows_follow_the_text_order(t):
         f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in pieces[1:]
     )
     assert joined == format_terms(t)
+
+
+ONE = SetPartition.parse("1")
+E = SetPartition.empty()
+
+
+@pytest.mark.parametrize(
+    "c, text",
+    [
+        (NCTensorExpr("m", {(E, ONE): 1, (ONE, E): 1}), "1 (x) m{1} + 1*m{1} (x) 1"),
+        (NCTensorExpr("m", {(E, ONE): -1, (ONE, E): -1}), "-1 (x) m{1} - 1*m{1} (x) 1"),
+        (
+            NCTensorExpr("m", {(E, ONE): Fraction(-1, 2), (ONE, E): Fraction(-1, 2)}),
+            "-1/2*1 (x) m{1} - 1/2*m{1} (x) 1",
+        ),
+        (NCSymExpr("x", {E: Fraction(-1, 3), ONE: -1}), "-1/3 - 1*x{1}"),
+        (NCSymExpr("x", {E: 7, ONE: Fraction(5, 3)}), "7 + 5/3*x{1}"),
+        (NCSymExpr("x", {E: 0, ONE: 0}), "0"),
+    ],
+    ids=["tensor+1", "tensor-1", "tensor-1/2", "scalar-1/3", "scalar+7", "zero"],
+)
+def test_term_text_of_signs_and_magnitudes(c, text):
+    # a magnitude prints as str(Fraction) does; only the bare unit 1 on the
+    # left leg drops its "1*"
+    assert format_terms(c) == text
