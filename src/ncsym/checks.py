@@ -329,6 +329,13 @@ def _compatibility_diagram(max_n, run):
             legs[basis, x, y] = xy.terms
         return legs[basis, x, y]
 
+    deltas = {}  # (basis, key, left part) -> terms of its species coproduct
+
+    def leg_delta(basis, key, elt, left, right):
+        if (basis, key, left) not in deltas:
+            deltas[basis, key, left] = species.species_delta(elt, left, right).terms
+        return deltas[basis, key, left]
+
     for n in range(max_n + 1):
         ground = list(range(1, n + 1))
         gset = frozenset(ground)
@@ -346,8 +353,8 @@ def _compatibility_diagram(max_n, run):
                             t2 = gset - t1
                             path1 = species.species_delta(ab, t1, t2)
                             acc = {}
-                            da = species.species_delta(a, s1 & t1, s1 & t2).terms
-                            db = species.species_delta(b, s2 & t1, s2 & t2).terms
+                            da = leg_delta(basis, a_key, a, s1 & t1, s1 & t2)
+                            db = leg_delta(basis, b_key, b, s2 & t1, s2 & t2)
                             for ((ai, aj), ca), ((bk, bl), cb) in itertools.product(
                                 da.items(), db.items()
                             ):

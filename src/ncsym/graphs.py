@@ -168,39 +168,53 @@ def count_acyclic_unique_sink(sigma: SetPartition, sink: int) -> int:
 def _acyclic_sink_counts(sigma: SetPartition) -> tuple:
     """Per-vertex unique-sink counts from direct orientation enumeration.
 
-    Backtracks over edge directions, pruning any partial orientation that
-    already closes a directed cycle (tracked with reachability bitmasks), and
-    tallies each completed acyclic orientation under its sink when that sink
-    is unique.
+    Places the vertices in order 1..n.  Vertex v splits its earlier
+    neighbours one at a time into out-neighbours (v -> u) and in-neighbours
+    (u -> v); a split is dropped as soon as an out-neighbour reaches an
+    in-neighbour, since u ->* w -> v -> u would close a directed cycle.  Each
+    vertex keeps the bitmask of the vertices it reaches (itself included);
+    once v is split, v's mask joins that of every vertex that reaches one of
+    its in-neighbours.  One ``busy`` mask holds the vertices with an out-edge,
+    so each leaf is exactly one acyclic orientation, tallied under its sink
+    when ``full & ~busy`` has exactly one bit.
     """
     n = sigma.size
     if n > ENUMERATION_VERTEX_CAP:
         raise ValueError(
             f"orientation enumeration is capped at {ENUMERATION_VERTEX_CAP} vertices"
         )
-    edges = MultipartiteGraph(sigma).edges()
+    earlier = [[] for _ in range(n + 1)]
+    for u, v in MultipartiteGraph(sigma).edges():
+        earlier[v].append(u)
+    full = (1 << (n + 1)) - 2
     counts = [0] * (n + 1)
 
-    def recurse(idx: int, reach: list, outdeg: list) -> None:
-        if idx == len(edges):
-            sinks = [v for v in range(1, n + 1) if outdeg[v] == 0]
-            if len(sinks) == 1:
-                counts[sinks[0]] += 1
+    def place(v: int, reach: list, busy: int) -> None:
+        bit = 1 << v
+        splits = [(0, 0)]  # (union of the out-neighbours' reach, in-mask)
+        for u in earlier[v]:
+            below, ubit = reach[u], 1 << u
+            grown = []
+            for out, into in splits:
+                if not below & into:
+                    grown.append((out | below, into))
+                if not out & ubit:
+                    grown.append((out, into | ubit))
+            splits = grown
+        if v == n:
+            for out, into in splits:
+                sinks = full & ~(busy | into | (bit if out else 0))
+                if sinks and not sinks & (sinks - 1):
+                    counts[sinks.bit_length() - 1] += 1
             return
-        u, w = edges[idx]
-        for a, b in ((u, w), (w, u)):
-            if reach[b] >> a & 1:
-                continue  # b already reaches a; orienting a -> b closes a cycle
-            new_reach = list(reach)
-            mask = new_reach[b]
-            for x in range(1, n + 1):
-                if new_reach[x] >> a & 1:
-                    new_reach[x] |= mask
-            new_outdeg = list(outdeg)
-            new_outdeg[a] += 1
-            recurse(idx + 1, new_reach, new_outdeg)
+        for out, into in splits:
+            mask = out | bit
+            joined = [r | mask if r & into else r for r in reach]
+            joined.append(mask)
+            place(v + 1, joined, busy | into | (bit if out else 0))
 
-    recurse(0, [1 << v for v in range(n + 1)], [0] * (n + 1))
+    if n:  # the empty graph's one orientation has no sink
+        place(1, [0], 0)
     return tuple(counts)
 
 

@@ -13,8 +13,12 @@ in text and ``--json``), the oracle at ``--vars`` below ``--max-n``, the
 commutative images at degrees 7 and 8 (``x{7} - 1/2*x{4,3}`` to e,
 ``e{2,2,2,2}`` to x in ``--json``, ``m{1,1,1,1,1,1,1,1}`` to p,
 ``m{7,1} + 2/3*m{2,2,2,1,1}`` to e in ``--json``, and the m product
-``m{3,1}`` times ``2*m{2,2} - 1/3*m{2,1,1}``, all with ``--sym``), and
-three inputs that must exit 2, in text and ``--json``.  The exit-2 cases print nothing on standard output, so their
+``m{3,1}`` times ``2*m{2,2} - 1/3*m{2,1,1}``, all with ``--sym``), the
+unique-sink orientation count of ``graph 12/34/5/6/7`` at sink 3 (``504``)
+by enumeration and by the chromatic route, each in text and ``--json``,
+and four inputs that must exit 2: a product and a key above the degree
+cap, a key with overlapping blocks, and orientation enumeration on eight
+vertices.  The exit-2 cases print nothing on standard output, so their
 standard error pins the message.  A change that alters any of them fails
 here.
 
@@ -106,8 +110,9 @@ TEXT_FORMATTERS = ("format_terms", "_conjecture_text", "_results_text")
 
 # Requests of every subcommand that prints through ``_emit`` with no golden
 # case in both forms: the product of species elements, Möbius values, the
-# three graph modes and the oracle report of ``verify``.  They are checked
-# against their own output with nothing patched.
+# three graph modes (only the orientation count has goldens, on another
+# graph) and the oracle report of ``verify``.  They are checked against
+# their own output with nothing patched.
 UNPINNED = [
     ["species", "mu", "m{1,2}", "m{3,5/4}"],
     ["mobius", "1/3/24", "13/24"],

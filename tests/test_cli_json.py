@@ -63,7 +63,7 @@ def test_writer_rejects_what_the_stdlib_rejects(value):
 
 def test_json_goldens_are_in_the_stdlib_indented_form():
     cases = [case for case in GOLDEN if "--json" in case["argv"]]
-    assert len(cases) == 25
+    assert len(cases) == 27
     for case in cases:
         out = case["stdout"]
         if not out:  # a request that exits 2 prints nothing on stdout

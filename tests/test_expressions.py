@@ -516,6 +516,14 @@ def test_oracle_routes_stay_independent():
     assert "graphs" not in imported_names(lattice)
     orientation_names = reachable_names(graphs, "count_acyclic_unique_sink")
     assert "refinement_counts" not in orientation_names
+    # the enumeration backend is the oracle for the chromatic route, so it
+    # reaches neither the polynomial nor the stable partitions behind it
+    assert not reachable_names(graphs, "count_acyclic_unique_sink_by_enumeration") & {
+        "chromatic_polynomial",
+        "stable_partitions",
+        "refinements",
+        "quotient_at_zero",
+    }
     assert not reachable_names(expressions, "x_to_m_top") & {
         "_key_convert",
         "_x_to_m",
