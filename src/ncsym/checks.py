@@ -860,7 +860,8 @@ def conjecture_report(max_n: int = 7) -> list:
     the nonzero coefficients, the count of vanishing coefficients, whether
     every nonzero coefficient matches the predicted sign, and whether the
     interval-sum formula agrees with the basis-change route coefficient by
-    coefficient.  The basis change computes x -> e from block shapes; the
+    coefficient.  The basis change computes x -> e as a product of block
+    weights over the signature walk of the refinements of the key; the
     interval sum walks the comparable pairs, once per shape of sigma, and
     every coefficient of the basis change is compared with it.  This is a
     report, not an assertion.

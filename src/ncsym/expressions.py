@@ -11,39 +11,35 @@ power sum basis:
     e at s    = sum over refinements tau of mu(bottom, tau) p at tau
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
-The four composites that involve m do not walk the comparable pairs through
-p.  e at s -> m at nu is 1 when the meet of s and nu is the bottom, else 0:
-one walk over the partitions nu of the key's ground set that never puts two
-elements of one block of s together visits exactly these nu.  For the other
-three, one such walk, ``_by_signature``, records for each block of nu how
-many of its elements fall in each block of the key.  These counts, the
-signature, fix the meet and the join of the key with nu, so the coefficient
-is computed once per distinct signature and a target is built only when it
-is nonzero:
+The composites that involve m, and x <-> e, do not walk the comparable pairs
+through p.  e at s -> m at nu is 1 when the meet of s and nu is the bottom,
+else 0: one walk over the partitions nu of the key's ground set that never
+puts two elements of one block of s together visits exactly these nu.  For
+the other five, one such walk, ``_by_signature``, records for each block of
+nu how many of its elements fall in each block of the key; for x <-> e it
+visits only the refinements of the key.  These counts, the signature, fix
+the meet and the join of the key with nu, so the coefficient is computed
+once per distinct signature and a target is built only when it is nonzero.
+The interval below pi is the product, over the blocks B of pi, of partition
+lattices (Stanley, EC1 3.10), so three coefficients are, up to a scale, a
+product over the blocks of pi of a block weight at the shape lam of nu on B,
+memoized on lam:
 
-    x at pi  -> m at nu: product over blocks B of pi of g(shape of nu on B),
-                g summing mu(sigma, top) over the refinements of one shape
+    x at pi  -> m at nu: g(lam), summing mu(sigma, top) over the
+                refinements sigma of one shape
+    x at pi  -> e at nu: h(lam) = sum over the set partitions rho of the
+                parts of lam of mu1(|rho|) prod_G mu1(|G|) / mu1(size of G)
+    e at pi  -> x at nu: f(lam) = sum over rho of prod_G mu1(size of G)
     m at tau -> x at nu: sum over the coarsenings of the join of tau and nu
                 of the product of mu1(tau blocks) over the merged groups
     m at tau -> e at nu: the same sum with group weight
                 mu1(tau blocks) mu1(nu blocks) / mu1(size)
 
-where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks.  The join sums depend
-only on the (size, tau blocks, nu blocks) profile of the join's blocks and
-are memoized on it.
-
-x <-> e walks the refinements sigma of the key pi once.  The interval from
-sigma to pi is the product, over the blocks B of pi, of the partition
-lattices of the blocks of sigma inside B (Stanley, EC1 3.10), so each
-coefficient is a product over the blocks of pi of a block weight at the
-shape lam of sigma on B, memoized on lam:
-
-    x at pi -> e at sigma: h(lam) = sum over the set partitions rho of the
-                parts of lam of mu1(|rho|) prod_G mu1(|G|) / mu1(size of G)
-    e at pi -> x at sigma: f(lam) = sum over rho of prod_G mu1(size of G)
-
-where G runs over the groups of rho and the size of G sums its parts.  f
-sums mu(bottom, tau) over the tau between sigma and pi.  The interval sum of
+where mu1(c) = (-1)^(c-1) (c-1)! merges c blocks, G runs over the groups of
+rho and the size of G sums its parts.  The join sums depend only on the
+(size, tau blocks, nu blocks) profile of the join's blocks and are memoized
+on it; f is the join sum with one profile entry (b, b, 1) per part b, and
+sums mu(bottom, tau) over the tau between nu and pi.  The interval sum of
 ``x_e_expansion_coefficient`` walks the comparable pairs instead and stays
 an independent check of x -> e.
 
@@ -208,39 +204,14 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
             for blocks, _ in _rgs_blocks(elems, unit, unit)
         )
     if route == ("x", "m"):
-        return _by_signature(pi, _x_to_m)
+        return _by_signature(pi, partial(_per_block, top_refinement_sum, 1))
     if basis == "m":
         scale = _e_scale(pi.size) if target == "e" else 1
         return _by_signature(pi, partial(_m_to, target, scale))
-    return _by_block_shape(pi, basis)
-
-
-def _by_block_shape(pi: SetPartition, basis: str) -> tuple:
-    """x <-> e: (sigma, c) for every refinement sigma of pi with a nonzero c,
-    the product over the blocks B of pi of the block weight at the shape of
-    sigma on B, in ``refinements`` order.
-
-    x -> e multiplies h(lam) (b-1)!, b = |B|, so the row holds each
-    coefficient times ``_e_scale(pi.size)``; e -> x multiplies f(lam).
-    """
-    owner = {x: i for i, blk in enumerate(pi.blocks) for x in blk}
-    if basis == "x":
-        weight = _x_to_e_block
+    if basis == "x":  # x -> e
         scale = _e_scale(pi.size) // prod(_e_scale(len(blk)) for blk in pi.blocks)
-    else:
-        weight, scale = _e_to_x_block, 1
-    out = []
-    for sigma in refinements(pi):
-        shapes = [[] for _ in pi.blocks]
-        for blk in sigma.blocks:
-            shapes[owner[blk[0]]].append(len(blk))
-        c = scale
-        for sizes in shapes:
-            sizes.sort()
-            c *= weight(tuple(sizes))
-        if c:
-            out.append((sigma, c))
-    return tuple(out)
+        return _by_signature(pi, partial(_per_block, _x_to_e_block, scale), refining=True)
+    return _by_signature(pi, partial(_per_block, _e_to_x_block, 1), refining=True)
 
 
 @lru_cache(maxsize=None)
@@ -248,22 +219,21 @@ def _x_to_e_block(sizes: tuple) -> int:
     """h(sizes) times (b-1)!, b = sum(sizes): the coefficient of e at a
     partition with these block sizes in x at the one-block partition,
     scaled to an int like a row into e."""
-    h = sum(merge_mobius(k) * c for k, c in enumerate(_groupings("e", sizes)) if c)
+    h = sum(merge_mobius(k) * c for k, c in enumerate(_groupings(sizes)) if c)
     return h.numerator * (_e_scale(sum(sizes)) // h.denominator)
 
 
-@lru_cache(maxsize=None)
 def _e_to_x_block(sizes: tuple) -> int:
     """f(sizes): the coefficient of x at a partition with these block sizes
-    in e at the one-block partition."""
-    return sum(_groupings("x", sizes))
+    in e at the one-block partition, the m -> x join sum of one join block
+    per part."""
+    return _coarsening_sum("x", tuple((s, s, 1) for s in sizes))
 
 
 @lru_cache(maxsize=None)
-def _groupings(target: str, sizes: tuple) -> tuple:
+def _groupings(sizes: tuple) -> tuple:
     """Entry k sums, over the set partitions of the parts ``sizes`` into k
-    groups G, the product of the group weights: mu1(|G|) / mu1(size of G)
-    into e, mu1(size of G) into x."""
+    groups G, the product of the group weights mu1(|G|) / mu1(size of G)."""
     if not sizes:
         return (1,)
     first, rest = sizes[0], sizes[1:]
@@ -271,31 +241,37 @@ def _groupings(target: str, sizes: tuple) -> tuple:
     for r in range(len(rest) + 1):
         for chosen in itertools.combinations(range(len(rest)), r):
             size = first + sum(rest[i] for i in chosen)
-            w = merge_mobius(size)
-            if target == "e":
-                w = Fraction(merge_mobius(r + 1), w)
+            w = Fraction(merge_mobius(r + 1), merge_mobius(size))
             left = tuple(e for i, e in enumerate(rest) if i not in chosen)
-            for k, c in enumerate(_groupings(target, left)):
+            for k, c in enumerate(_groupings(left)):
                 out[k + 1] += w * c
     return tuple(out)
 
 
-def _by_signature(pi: SetPartition, coefficient) -> tuple:
+def _by_signature(pi: SetPartition, coefficient, refining=False) -> tuple:
     """(nu, c) for every partition nu of pi's ground set with a nonzero
-    c = coefficient(width, signature), in ``set_partitions`` order.
+    c = coefficient(width, signature), in ``set_partitions`` order; with
+    ``refining``, only the refinements nu of pi.
 
     The signature records, for each block of nu, how many of its elements
     fall in each block of pi: one int per block of nu, the count for block
     i of pi in bits [width * i, width * (i + 1)), the ints sorted.  The
-    coefficient is computed once per distinct signature.
+    coefficient is computed once per distinct signature.  A refining walk
+    never lets an element join a block whose word has a count outside the
+    element's own field.
     """
     width = pi.size.bit_length()
     field = {x: 1 << width * i for i, blk in enumerate(pi.blocks) for x in blk}
     elems = sorted(pi.ground)
     unit = [field[x] for x in elems]
+    clash = None
+    if refining:
+        low = (1 << width) - 1
+        full = (1 << width * len(pi.blocks)) - 1
+        clash = [full ^ u * low for u in unit]
     seen = {}
     out = []
-    for blocks, words in _rgs_blocks(elems, unit):
+    for blocks, words in _rgs_blocks(elems, unit, clash):
         sig = tuple(sorted(words))
         c = seen.get(sig)
         if c is None:
@@ -323,21 +299,22 @@ def _support(width: int, word: int) -> tuple:
     return sum(1 << i for i, _ in fields), sum(c for _, c in fields)
 
 
-def _x_to_m(width: int, sig: tuple) -> int:
-    """x at pi -> m at nu: the product over blocks B of pi of g(shape of nu
-    on B).
+def _per_block(weight, scale: int, width: int, sig: tuple) -> int:
+    """scale times the product, over the blocks B of the key, of
+    weight(shape of nu on B).
 
-    The p-route coefficient sum of mu(sigma, pi) over sigma below the meet
-    of pi and nu factors over the blocks of pi.
+    The interval below the key is the product of the partition lattices of
+    its blocks, so the p-route sums of x -> m, x -> e and e -> x factor over
+    them: weight is g, h or f.
     """
     traces = {}
     for word in sig:
         for i, c in _fields(width, word):
             traces.setdefault(i, []).append(c)
-    coeff = 1
+    coeff = scale
     for sizes in traces.values():
         sizes.sort()
-        coeff *= top_refinement_sum(tuple(sizes))
+        coeff *= weight(tuple(sizes))
     return coeff
 
 

@@ -20,6 +20,7 @@ from ncsym import (
     count_acyclic_unique_sink_by_enumeration,
     expand_nc,
     integer_partitions,
+    is_refinement,
     lift_R,
     meet,
     omega,
@@ -36,7 +37,7 @@ from ncsym import (
     x_top_coproduct_coefficient,
 )
 from ncsym import checks, expressions, graphs, lattice, monomials, species
-from ncsym.expressions import BASES, _key_convert
+from ncsym.expressions import BASES, _by_signature, _key_convert
 
 from conftest import elt, imported_names, ip_, reachable_names, sp_
 
@@ -485,6 +486,43 @@ def test_e_to_m_builds_only_its_output_partitions(monkeypatch):
     assert {c for _, c in table} == {1}
 
 
+@pytest.mark.parametrize(
+    "text,size", [("1,2,3,4/5,6/7/8", 14), ("1,2,3/4,5,6/7,8", 16)]
+)
+@pytest.mark.parametrize("basis,target", [("x", "e"), ("e", "x")])
+def test_x_e_builds_only_its_output_partitions(monkeypatch, text, size, basis, target):
+    # the refining walk builds a refinement only when its coefficient is
+    # nonzero: 14 of the 30 refinements of the first key, 16 of the 50 of
+    # the second
+    s = sp_(text)
+    built = []
+    trusted = SetPartition._trusted
+
+    def counting(blocks, ground):
+        built.append(blocks)
+        return trusted(blocks, ground)
+
+    monkeypatch.setattr(SetPartition, "_trusted", staticmethod(counting))
+    table = _key_convert.__wrapped__(basis, target, s)
+    assert len(built) == len(table) == size
+    assert all(is_refinement(sigma, s) for sigma, _ in table)
+
+
+def _refining_walk_keys():
+    for n in range(7):
+        yield from set_partitions(range(1, n + 1)) if n else [SetPartition.empty()]
+    # 4-bit signature fields
+    yield sp_("1,5/2,6/3,7/4,8")
+    yield sp_("1,2,3,4/5,6/7/8")
+
+
+def test_refining_signature_walk_visits_the_refinements_in_order():
+    for pi in _refining_walk_keys():
+        got = [nu for nu, _ in _by_signature(pi, lambda width, sig: 1, refining=True)]
+        want = [s for s in set_partitions(pi.ground) if is_refinement(s, pi)]
+        assert got == want, pi
+
+
 def test_convert_accumulates_over_a_common_denominator():
     a, b = sp_("13/2/4"), sp_("1234")
     for basis, target in itertools.permutations(BASES, 2):
@@ -526,14 +564,14 @@ def test_oracle_routes_stay_independent():
     }
     assert not reachable_names(expressions, "x_to_m_top") & {
         "_key_convert",
-        "_x_to_m",
+        "_per_block",
         "top_refinement_sum",
         "refinement_counts",
     }
     # the basis changes that involve m read their coefficients off one
     # signature walk, or e -> m off one clash walk with weight one; the
     # routes they are checked against never reach them
-    signature_route = {"_by_signature", "_x_to_m", "_m_to", "top_refinement_sum"}
+    signature_route = {"_by_signature", "_per_block", "_m_to", "top_refinement_sum"}
     assert signature_route | {"_rgs_blocks"} <= reachable_names(
         expressions, "_key_convert"
     )
@@ -560,7 +598,13 @@ def test_oracle_routes_stay_independent():
     # the key; the conjecture report compares x -> e with the interval sum,
     # once per shape, and neither the interval sum nor the report's helper
     # reaches the tables or the block weights
-    shape_route = {"_by_block_shape", "_x_to_e_block", "_e_to_x_block", "_groupings"}
+    shape_route = {
+        "_per_block",
+        "_x_to_e_block",
+        "_e_to_x_block",
+        "_groupings",
+        "_coarsening_sum",
+    }
     assert shape_route <= reachable_names(expressions, "_key_convert")
     assert not reachable_names(expressions, "_key_convert") & {
         "interval",
