@@ -44,13 +44,17 @@ sums mu(bottom, tau) over the tau between nu and pi.  The interval sum of
 an independent check of x -> e.
 
 Each basis change has one memoized table, ``_key_convert``, and every
-table holds int weights.  Möbius values are integers; the rows into e are
-rational, but at degree n every coefficient is an integer multiple of
-1 / (n-1)!, since mu(bottom, pi) and each group weight of the m -> e sum
-have a denominator dividing (n-1)!.  So a row into e stores each
-coefficient times ``_e_scale(n)`` = (n-1)!, and every reader of such a row
-divides by that scale once per key.  Every operation below extends its rule
-on keys through ``combination.linear`` or ``bilinear``; results are
+table holds int weights.  ``_signature_rule`` gives ``sym`` the coefficient
+functions of the five signature composites too; it sums them over orbit
+classes instead of over targets.  Möbius values are integers; the rows
+into e are rational, but at degree n every coefficient is an integer
+multiple of 1 / (n-1)!, since mu(bottom, pi) and each group weight of the
+m -> e sum have a denominator dividing (n-1)!.  So a row into e stores
+each coefficient times ``_e_scale(n)`` = (n-1)!, and every reader of such
+a row divides by that scale once per key.  Every operation below extends
+its rule on keys through ``combination.linear`` or ``bilinear``, except
+``lift_R`` and ``x_to_m_top``, which work one shape class at a time and
+give every key of one shape one shared coefficient; results are
 Fractions throughout, and the kernels wrap them unchecked.
 
 Every Hopf operation uses its basis's own rule; p is a hub only for
@@ -80,7 +84,6 @@ from .lattice import (
     merge_mobius,
     mobius,
     refinements,
-    set_partitions,
     top_refinement_sum,
 )
 from .limits import check_degree
@@ -89,6 +92,7 @@ from .partitions import (
     Permutation,
     SetPartition,
     apply_permutation,
+    integer_partitions,
     lambda_factorial,
     lambda_superfactorial,
     slash,
@@ -203,15 +207,23 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
             (SetPartition._trusted(blocks, pi.ground), 1)
             for blocks, _ in _rgs_blocks(elems, unit, unit)
         )
-    if route == ("x", "m"):
-        return _by_signature(pi, partial(_per_block, top_refinement_sum, 1))
+    coefficient, refining = _signature_rule(basis, target, tuple(map(len, pi.blocks)))
+    return _by_signature(pi, coefficient, refining)
+
+
+def _signature_rule(basis: str, target: str, sizes: tuple):
+    """The coefficient function of x -> m, m -> x, m -> e, x -> e or e -> x
+    at a key with these block sizes, for ``_by_signature``, and whether
+    only the refinements of the key can have a nonzero coefficient."""
+    n = sum(sizes)
+    if (basis, target) == ("x", "m"):
+        return partial(_per_block, top_refinement_sum, 1), False
     if basis == "m":
-        scale = _e_scale(pi.size) if target == "e" else 1
-        return _by_signature(pi, partial(_m_to, target, scale))
+        return partial(_m_to, target, _e_scale(n) if target == "e" else 1), False
     if basis == "x":  # x -> e
-        scale = _e_scale(pi.size) // prod(_e_scale(len(blk)) for blk in pi.blocks)
-        return _by_signature(pi, partial(_per_block, _x_to_e_block, scale), refining=True)
-    return _by_signature(pi, partial(_per_block, _e_to_x_block, 1), refining=True)
+        scale = _e_scale(n) // prod(_e_scale(s) for s in sizes)
+        return partial(_per_block, _x_to_e_block, scale), True
+    return partial(_per_block, _e_to_x_block, 1), True
 
 
 @lru_cache(maxsize=None)
@@ -285,11 +297,14 @@ def _by_signature(pi: SetPartition, coefficient, refining=False) -> tuple:
 def _fields(width: int, word: int) -> tuple:
     """(i, count) for every nonzero count packed in a signature word."""
     low = (1 << width) - 1
-    return tuple(
-        (i, word >> width * i & low)
-        for i in range(-(-word.bit_length() // width))
-        if word >> width * i & low
-    )
+    out = []
+    i = 0
+    while word:
+        if word & low:
+            out.append((i, word & low))
+        word >>= width
+        i += 1
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -562,8 +577,9 @@ def rho(expr: NCSymExpr) -> _sym.SymExpr:
     part factorial, power sums and extra elements map with scalar one.  x
     at pi goes to x at the shape of pi because the interval below pi is the
     product of the partition lattices of its blocks, so the image of x is
-    multiplicative.  ``sym`` reads the same scalars to get every Sym basis
-    change from ``_key_convert``.
+    multiplicative.  ``sym`` reads the same scalars, and the coefficient
+    functions of ``_key_convert``, to sum every Sym basis change over the
+    orbit classes of its targets.
     """
 
     def rule(pi):
@@ -578,42 +594,45 @@ def _shape_blocks(n: int, parts: tuple):
     sizes ``parts``, in the restricted growth string order of
     ``set_partitions``.
 
-    Each element joins an open block or opens the next one, and a prefix
-    is kept only while it can still complete to the shape: room[t] counts
-    the parts of size at least t not yet matched by a block of size at
-    least t, so a block may grow to size t only while room[t] is positive.
+    One walk over one partial partition: each element joins an open block
+    or opens the next one, and a prefix is kept only while it can still
+    complete to the shape: room[t] counts the parts of size at least t not
+    yet matched by a block of size at least t, so a block may grow to size
+    t only while room[t] is positive.  ``choice[i]`` is the block element
+    i + 1 sits in, so backtracking resumes with the block after it.
     """
-    room = [0] * (n + 1)
+    room = [0] * (n + 2)
     for part in parts:
         for t in range(1, part + 1):
             room[t] += 1
-    sizes = []
-    rgs = [0] * n
-
-    def walk(i):
+    blocks = []
+    choice = [0] * n
+    i = b = 0  # element i + 1 tries block b next
+    while True:
         if i == n:
-            blocks = [[] for _ in sizes]
-            for x, b in enumerate(rgs, 1):
-                blocks[b].append(x)
             yield tuple(map(tuple, blocks))
+        else:
+            while b < len(blocks) and not room[len(blocks[b]) + 1]:
+                b += 1
+            if b < len(blocks) or (b == len(blocks) and room[1]):
+                if b == len(blocks):
+                    blocks.append([])
+                blk = blocks[b]
+                blk.append(i + 1)
+                room[len(blk)] -= 1
+                choice[i] = b
+                i, b = i + 1, 0
+                continue
+        if not i:
             return
-        for b, size in enumerate(sizes):
-            if room[size + 1]:
-                room[size + 1] -= 1
-                sizes[b] = size + 1
-                rgs[i] = b
-                yield from walk(i + 1)
-                sizes[b] = size
-                room[size + 1] += 1
-        if room[1]:
-            room[1] -= 1
-            rgs[i] = len(sizes)
-            sizes.append(1)
-            yield from walk(i + 1)
-            sizes.pop()
-            room[1] += 1
-
-    return walk(0)
+        i -= 1
+        b = choice[i]
+        blk = blocks[b]
+        room[len(blk)] += 1
+        blk.pop()
+        if not blk:
+            blocks.pop()
+        b += 1
 
 
 @lru_cache(maxsize=None)
@@ -636,18 +655,15 @@ def lift_R(expr: _sym.SymExpr) -> NCSymExpr:
 
     A power sum at shape lam lifts to (lam! lam^! / n!) times the sum of the
     power sums over all set partitions of that shape; projecting back down is
-    the identity.
+    the identity.  The shapes are distinct, so every set partition of one
+    shape carries the same coefficient object.
     """
-    pe = _sym.convert_sym(expr, "p")
-    scaled = {
-        lam: c * lambda_factorial(lam) * lambda_superfactorial(lam) / factorial(lam.n)
-        for lam, c in pe.terms.items()
-    }
-
-    def rule(lam):
-        return ((tau, 1) for tau in set_partitions_of_shape(lam))
-
-    return NCSymExpr._trusted("p", linear(scaled, rule))
+    terms = {}
+    for lam, c in _sym.convert_sym(expr, "p").terms.items():
+        coeff = c * lambda_factorial(lam) * lambda_superfactorial(lam) / factorial(lam.n)
+        for tau in set_partitions_of_shape(lam):
+            terms[tau] = coeff
+    return NCSymExpr._trusted("p", terms)
 
 
 def x_to_m_top(n: int) -> NCSymExpr:
@@ -656,6 +672,8 @@ def x_to_m_top(n: int) -> NCSymExpr:
     The coefficient of each monomial term is, up to the global sign
     (-1)^(n-1), the number of acyclic orientations of the complete
     multipartite graph of the key with a unique sink at a fixed vertex.
+    The graph depends only on the shape of the key, so the count is taken
+    once per shape, from its first partition, and shared by all of them.
     """
     from .graphs import count_acyclic_unique_sink
 
@@ -663,16 +681,15 @@ def x_to_m_top(n: int) -> NCSymExpr:
         raise ValueError("degree must be at least 1")
     check_degree(n)
     sign = (-1) ** (n - 1)
-    by_shape = {}  # the count depends only on the block sizes
     terms = {}
-    for sigma in set_partitions(range(1, n + 1)):
-        lam = sigma.shape()
-        if lam not in by_shape:
-            by_shape[lam] = count_acyclic_unique_sink(sigma, 1)
-        c = by_shape[lam]
+    for lam in integer_partitions(n):
+        taus = _partitions_of_shape(lam)
+        c = count_acyclic_unique_sink(taus[0], 1)
         if c:
-            terms[sigma] = sign * c
-    return NCSymExpr("m", terms)
+            coeff = Fraction(sign * c)
+            for tau in taus:
+                terms[tau] = coeff
+    return NCSymExpr._trusted("m", terms)
 
 
 def x_e_expansion_coefficient(pi: SetPartition, sigma: SetPartition) -> Fraction:

@@ -12,7 +12,7 @@ import itertools
 from functools import lru_cache
 from math import prod
 
-from .lattice import refinements
+from .lattice import _rgs_blocks, refinements
 from .partitions import SetPartition
 
 ENUMERATION_VERTEX_CAP = 7
@@ -133,11 +133,27 @@ class ChromaticPolynomial:
 
 
 def chromatic_polynomial(graph: MultipartiteGraph) -> ChromaticPolynomial:
-    """Proper-coloring counter as a sum of falling factorials over stable partitions."""
-    counts = {}
-    for tau in stable_partitions(graph):
-        l = len(tau.blocks)
-        counts[l] = counts.get(l, 0) + 1
+    """Proper-coloring counter as a sum of falling factorials over stable partitions.
+
+    A stable partition refines every block on its own, so the number with
+    l blocks is the convolution, over the blocks, of how many partitions
+    of the block have each number of blocks; each such row is counted by
+    enumerating the partitions of one block of each size, and no stable
+    partition is built.
+    """
+    rows = {}
+    counts = {0: 1}
+    for blk in graph.parts.blocks:
+        row = rows.get(len(blk))
+        if row is None:
+            row = rows[len(blk)] = {}
+            for blocks in _rgs_blocks(blk):
+                row[len(blocks)] = row.get(len(blocks), 0) + 1
+        grown = {}
+        for l, c in counts.items():
+            for j, d in row.items():
+                grown[l + j] = grown.get(l + j, 0) + c * d
+        counts = grown
     return ChromaticPolynomial(counts)
 
 

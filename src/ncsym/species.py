@@ -107,15 +107,17 @@ def mu_key(basis: str, a: SetPartition, b: SetPartition):
         return
     check_degree(a.size + b.size)
     la, lb = len(a.blocks), len(b.blocks)
+    ground = a.ground | b.ground
     for k in range(min(la, lb) + 1):
         for asel in itertools.combinations(range(la), k):
             chosen = set(asel)
             for bsel in itertools.permutations(range(lb), k):
                 used = set(bsel)
-                blocks = [a.blocks[i] + b.blocks[j] for i, j in zip(asel, bsel)]
+                blocks = [tuple(sorted(a.blocks[i] + b.blocks[j])) for i, j in zip(asel, bsel)]
                 blocks += [a.blocks[i] for i in range(la) if i not in chosen]
                 blocks += [b.blocks[j] for j in range(lb) if j not in used]
-                yield SetPartition(blocks), 1
+                blocks.sort()
+                yield SetPartition._trusted(tuple(blocks), ground), 1
 
 
 def species_mu(a: SpeciesElement, b: SpeciesElement) -> SpeciesElement:

@@ -5,19 +5,31 @@ projection rho sends b at a set partition of shape lam to
 ``rho_scalar(b, lam)`` times b at lam: lam^! on m, lam! on e and one on p
 and x (Rosas-Sagan).  So b at lam is rho of the NCSym row of b at
 ``bracket(lam)``, divided by b's scalar at lam: each target key collapses
-to its shape and is weighted by the target's scalar there.  The product
-of two keys is rho of the NCSym product at their brackets in the same way.
-The operations extend their key rules through ``combination.linear``/
-``bilinear``.  The monomial oracle is not used here; it expands the same
-elements as polynomials and checks them.
+to its shape and is weighted by the target's scalar there.  The NCSym
+coefficient at a target nu is constant on the orbits of the permutations
+that fix every block of the bracket, and these orbits are the intersection
+signatures of ``expressions._by_signature``: the multisets of count
+vectors summing to lam.  So a row is summed one orbit class at a time,
+class size times the coefficient function of the NCSym table, and no
+NCSym row or set partition is built; m <-> p walks the coarsenings of the
+bracket up to permuting its equal blocks.  The product of two keys is rho
+of the NCSym product at their brackets.  The operations extend their key
+rules through ``combination.linear``/``bilinear``.  The monomial oracle is
+not used here; it expands the same elements as polynomials and checks
+them.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import factorial, prod
 
+from . import expressions as _ncsym  # bound late: expressions imports sym
 from .combination import Combination, bilinear, linear
+from .lattice import merge_mobius
 from .limits import check_degree
 from .partitions import (
     IntegerPartition,
@@ -87,6 +99,10 @@ def _rho_row(basis: str, pairs, scale: int) -> tuple:
     for sigma, w in pairs:
         gam = sigma.shape()
         shapes[gam] = shapes.get(gam, 0) + w
+    return _scaled_row(basis, shapes, scale)
+
+
+def _scaled_row(basis: str, shapes: dict, scale: int) -> tuple:
     return tuple(
         (gam, Fraction(c * rho_scalar(basis, gam), scale))
         for gam, c in shapes.items()
@@ -94,17 +110,153 @@ def _rho_row(basis: str, pairs, scale: int) -> tuple:
     )
 
 
+def _vector_partitions(counts: tuple, width: int, weights=None, cap=None, refining=False):
+    """Every multiset of nonzero count vectors summing to ``counts``, once,
+    as (signature, sizes, class size) triples.
+
+    Split a set into groups of ``counts[i]`` elements.  The orbits of the
+    permutations fixing every group, acting on the set partitions nu of
+    the set, are these multisets: a block of nu gives the vector of how
+    many of its elements fall in each group.  The class size is the orbit
+    size, prod counts_i! / (prod_v prod_i v_i! * prod_v mult(v)!).  The
+    signature holds the vectors packed like the words of
+    ``expressions._by_signature``, coordinate i in bits
+    [width * i, width * (i + 1)), in no fixed order; sizes holds their
+    sizes sum_i v_i * weights[i] in the same order (with the default
+    weights of one, sorted sizes are the shape of nu).  Every count must
+    stay below 2 ** (width - 1): the top bit of each field is a guard, so
+    one subtraction tells whether a vector fits into what is left.  ``cap``
+    bounds every coordinate, and ``refining`` keeps only the vectors with
+    one nonzero coordinate (the refinements of the groups).
+
+    A depth-first walk over nonincreasing vectors (Knuth, TAOCP 4A,
+    7.2.1.5, multiset partitions): the next vector holds the top nonzero
+    coordinate of what is left and is at most the previous one, so each
+    multiset comes once and every prefix completes.  The vectors that fit
+    into each distinct remainder are listed once.
+    """
+    k = len(counts)
+    guard = ((1 << width * k) - 1) // ((1 << width) - 1) << width - 1  # each field's top bit
+    by_top = [[] for _ in counts]  # (word, size, prod v_i!) by top coordinate, decreasing
+    words, sizes, full = [], [], 0  # refining: a count of one is one vector
+    for i, c in enumerate(counts):
+        w = weights[i] if weights else 1
+        if refining and c == 1:
+            words.append(1 << width * i)
+            sizes.append(w)
+            continue
+        full |= c << width * i
+        if refining:
+            most = min(c, cap or c)
+            by_top[i] = [(v << width * i, v * w, factorial(v)) for v in range(most, 0, -1)]
+    if not refining:  # every sub-vector, top coordinate first, in decreasing order
+        ranges = [range(min(c, cap or c), -1, -1) for c in reversed(counts)]
+        top_first = weights[::-1] if weights else (1,) * k
+        for vec in itertools.product(*ranges):
+            word, size, weight = 0, 0, 1
+            for v, w in zip(vec, top_first):
+                word = word << width | v
+                size += v * w
+                weight *= factorial(v)
+            if word:
+                by_top[(word.bit_length() - 1) // width].append((word, size, weight))
+    total = prod(map(factorial, counts))
+    fitting = {}  # what is left -> (its top coordinate, the (index, vector) that fit)
+    out = []
+
+    def walk(rem, top, last, run, denominator):
+        fits = fitting.get(rem)
+        if fits is None:
+            t = (rem.bit_length() - 1) // width
+            room = rem | guard
+            fits = fitting[rem] = t, [
+                (j, vec) for j, vec in enumerate(by_top[t]) if (room - vec[0]) & guard == guard
+            ]
+        t, vectors = fits
+        if t == top:
+            vectors = vectors[bisect_left(vectors, (last,)):]
+        for j, (word, size, weight) in vectors:
+            repeat = run + 1 if t == top and j == last else 1
+            left = rem - word
+            words.append(word)
+            sizes.append(size)
+            if left:
+                walk(left, t, j, repeat, denominator * weight * repeat)
+            else:
+                d = denominator * weight * repeat
+                out.append((tuple(words), tuple(sizes), total // d))
+            words.pop()
+            sizes.pop()
+
+    if full:
+        walk(full, -1, 0, 0, 1)
+    else:
+        out.append((tuple(words), tuple(sizes), total))
+    return out
+
+
+def _one(width: int, sig: tuple) -> int:
+    return 1
+
+
+def _block_mobius(sizes: tuple) -> int:
+    """mu(nu, pi) on one block of pi holding blocks of nu of these sizes."""
+    return merge_mobius(len(sizes))
+
+
+def _vector_mobius(width: int, sig: tuple) -> int:
+    """The product, over the vectors, of the Möbius value of merging as
+    many things as the vector counts: mu(bottom, nu) on the refining
+    signatures, mu(bracket, sigma) on the coarsening classes."""
+    return prod(merge_mobius(_ncsym._support(width, word)[1]) for word in sig)
+
+
 @lru_cache(maxsize=None)
 def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
     """Coordinates of one basis element in the target basis, as key/value
     pairs: rho of the NCSym row at ``bracket(lam)`` over b's scalar at lam
-    (and over the row's scale, for a row into e)."""
-    from .expressions import _e_scale, _key_convert
+    (and over the row's scale, for a row into e).
 
-    scale = rho_scalar(basis, lam)
-    if target == "e":
-        scale *= _e_scale(lam.n)
-    return _rho_row(target, _key_convert(basis, target, bracket(lam)), scale)
+    The NCSym coefficient is constant on the orbit classes of the targets,
+    so the row sums class size times coefficient over the classes, each at
+    its shape.  m <-> p: the targets are the coarsenings of the bracket,
+    whose classes up to permuting its equal blocks are the vector
+    partitions of the multiplicities of lam's parts, with coefficient
+    mu(bracket, sigma) (m -> p) or one.  The others class the partitions
+    of the ground set by signature: x -> m, m -> x, m -> e, x -> e and
+    e -> x take the coefficient function of the NCSym table, e -> m is one
+    on the vectors of zeros and ones, and the other p routes are the
+    Möbius products on the refining signatures.
+    """
+    n = lam.n
+    route = (basis, target)
+    counts, weights, cap, refining = lam.parts, None, None, True
+    if route in (("m", "p"), ("p", "m")):
+        mult = lam.multiplicities()
+        counts, weights, refining = tuple(mult.values()), tuple(mult), False
+        coefficient = _vector_mobius if basis == "m" else _one
+    elif route in (("x", "m"), ("m", "x"), ("m", "e"), ("x", "e"), ("e", "x")):
+        coefficient, refining = _ncsym._signature_rule(basis, target, lam.parts)
+    elif route == ("e", "m"):
+        coefficient, cap, refining = _one, 1, False
+    elif route == ("x", "p"):
+        coefficient = partial(_ncsym._per_block, _block_mobius, 1)
+    elif route == ("p", "e"):
+        unit = _ncsym._e_scale(n) // prod(merge_mobius(part) for part in lam.parts)
+        coefficient = partial(_ncsym._per_block, _block_mobius, unit)
+    elif route == ("e", "p"):
+        coefficient = _vector_mobius
+    else:  # p -> x
+        coefficient = _one
+    width = sum(counts).bit_length() + 1
+    shapes = {}
+    for sig, sizes, size in _vector_partitions(counts, width, weights, cap, refining):
+        c = coefficient(width, sig)
+        if c:
+            shape = tuple(sorted(sizes))
+            shapes[shape] = shapes.get(shape, 0) + size * c
+    scale = rho_scalar(basis, lam) * (_ncsym._e_scale(n) if target == "e" else 1)
+    return _scaled_row(target, {IntegerPartition(s): c for s, c in shapes.items()}, scale)
 
 
 def convert_sym(expr: SymExpr, target: str) -> SymExpr:
@@ -122,10 +274,8 @@ def convert_sym(expr: SymExpr, target: str) -> SymExpr:
 def _key_product_sym(basis: str, lam: IntegerPartition, gam: IntegerPartition) -> tuple:
     """Product of two basis keys: rho of the NCSym product of b at the two
     brackets, over b's scalars at lam and gam."""
-    from .expressions import _key_product
-
     scale = rho_scalar(basis, lam) * rho_scalar(basis, gam)
-    return _rho_row(basis, _key_product(basis, bracket(lam), bracket(gam)), scale)
+    return _rho_row(basis, _ncsym._key_product(basis, bracket(lam), bracket(gam)), scale)
 
 
 def product_sym(a: SymExpr, b: SymExpr) -> SymExpr:

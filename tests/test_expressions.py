@@ -36,7 +36,7 @@ from ncsym import (
     x_to_m_top,
     x_top_coproduct_coefficient,
 )
-from ncsym import checks, expressions, graphs, lattice, monomials, species
+from ncsym import checks, expressions, graphs, lattice, monomials, species, sym
 from ncsym.expressions import BASES, _by_signature, _key_convert
 
 from conftest import elt, imported_names, ip_, reachable_names, sp_
@@ -357,6 +357,25 @@ def test_x_to_m_top():
         assert x_to_m_top(n) == convert(NCSymExpr.element("x", top(n)), "m")
 
 
+def test_shape_class_outputs_share_one_coefficient_per_shape(monkeypatch):
+    # x_to_m_top and lift_R build their keys unchecked, from the shape
+    # walk, and give every key of one shape the same coefficient object
+    validated = []
+    monkeypatch.setattr(SetPartition, "__init__", lambda self, blocks=(): validated.append(blocks))
+    expressions._partitions_of_shape.cache_clear()
+    sym._key_convert_sym.cache_clear()
+    results = [x_to_m_top(n) for n in range(1, 9)]
+    for basis, lam in zip("mpex", (ip_(3, 2, 1), ip_(4, 4), ip_(2, 2, 1, 1), ip_(5, 3))):
+        results.append(lift_R(SymExpr.element(basis, lam)))
+    assert validated == []
+    for expr in results:
+        by_shape = {}
+        for tau, c in expr.terms.items():
+            by_shape.setdefault(tau.shape(), set()).add(id(c))
+        assert all(len(ids) == 1 for ids in by_shape.values())
+        assert len({id(c) for c in expr.terms.values()}) == len(by_shape)
+
+
 def test_x_to_m_top_matches_orientation_enumeration():
     for n in range(1, 7):
         expansion = x_to_m_top(n)
@@ -568,6 +587,17 @@ def test_oracle_routes_stay_independent():
         "top_refinement_sum",
         "refinement_counts",
     }
+    # x_to_m_top and the chromatic counts enumerate: neither reaches the
+    # lattice's closed-form counts that x -> m multiplies
+    for name in ("chromatic_polynomial", "count_acyclic_unique_sink"):
+        assert not reachable_names(graphs, name) & {
+            "refinement_counts",
+            "top_refinement_sum",
+            "_stirling_row",
+        }, name
+    # the Sym rows never reach the monomial oracle that checks them
+    assert "monomials" not in imported_names(sym)
+    assert not reachable_names(sym, "_key_convert_sym") & {"monomials", "expand_c"}
     # the basis changes that involve m read their coefficients off one
     # signature walk, or e -> m off one clash walk with weight one; the
     # routes they are checked against never reach them

@@ -53,6 +53,16 @@ def test_chromatic_polynomial():
     assert k3.evaluate(0) == 0
 
 
+def test_chromatic_counts_are_the_stable_partitions_by_block_number():
+    for n in range(8):
+        for sigma in set_partitions(range(1, n + 1)):
+            g = MultipartiteGraph(sigma)
+            want = {}
+            for tau in stable_partitions(g):
+                want[len(tau)] = want.get(len(tau), 0) + 1
+            assert chromatic_polynomial(g).counts == want, sigma
+
+
 def test_chromatic_matches_brute_force():
     for n in range(6):
         for sigma in set_partitions(range(1, n + 1)):

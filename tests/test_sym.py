@@ -18,9 +18,10 @@ from ncsym import (
     product_sym,
     rho,
 )
-from ncsym import sym
+from ncsym import expressions, sym
+from ncsym.lattice import _rgs_blocks
 from ncsym.parsing import format_terms
-from ncsym.partitions import concat, lambda_factorial, lambda_superfactorial
+from ncsym.partitions import bracket, concat, lambda_factorial, lambda_superfactorial
 
 from conftest import ip_, reachable_names
 
@@ -126,15 +127,17 @@ def test_product_matches_oracle():
 
 
 def test_rules_are_rho_of_the_ncsym_rules(monkeypatch):
-    # the row and product rules collapse NCSym rules and never detour
-    # through another Sym basis
-    for rule, ncsym_rule in (
-        ("_key_convert_sym", "_key_convert"),
-        ("_key_product_sym", "_key_product"),
-    ):
-        names = reachable_names(sym, rule)
-        assert ncsym_rule in names and "_rho_row" in names, rule
-        assert not names & {"convert_sym", "concat"}, rule
+    # the row rule sums the NCSym coefficient functions over orbit classes,
+    # without building an NCSym row; the product rule collapses the NCSym
+    # product; neither detours through another Sym basis
+    names = reachable_names(sym, "_key_convert_sym")
+    assert {"_vector_partitions", "_per_block", "_signature_rule"} <= names
+    assert {"_per_block", "_m_to"} <= reachable_names(expressions, "_signature_rule")
+    assert not names & {"_key_convert", "_by_signature", "_rho_row", "bracket"}
+    assert not names & {"convert_sym", "concat"}
+    names = reachable_names(sym, "_key_product_sym")
+    assert "_key_product" in names and "_rho_row" in names
+    assert not names & {"convert_sym", "concat"}
     calls = []
     convert = sym.convert_sym
 
@@ -156,6 +159,89 @@ def test_rules_are_rho_of_the_ncsym_rules(monkeypatch):
         calls.clear()
         omega_sym(a)
         assert [target for _, target in calls] == ["p", basis], basis
+
+
+def _bell(n):
+    return sum(1 for _ in _rgs_blocks(range(n)))
+
+
+def _grouped(counts, width, weights=None, cap=None, refining=False):
+    """Brute force: the partitions of a set split into groups of
+    ``counts[i]`` elements, grouped by signature, as
+    {sorted signature: (shape, class size)}."""
+    owner = [i for i, c in enumerate(counts) for _ in range(c)]
+    unit = [1 << width * i for i in owner]
+    classes = {}
+    for blocks, words in _rgs_blocks(range(len(owner)), unit):
+        fields = [expressions._fields(width, word) for word in words]
+        if cap and any(c > cap for f in fields for _, c in f):
+            continue
+        if refining and any(len(f) > 1 for f in fields):
+            continue
+        shape = tuple(sorted(sum(weights[owner[x]] if weights else 1 for x in b) for b in blocks))
+        entry = classes.setdefault(tuple(sorted(words)), [shape, 0])
+        assert entry[0] == shape
+        entry[1] += 1
+    return {sig: tuple(v) for sig, v in classes.items()}
+
+
+def _classes(counts, width, weights=None, cap=None, refining=False):
+    out = sym._vector_partitions(counts, width, weights, cap, refining)
+    got = {tuple(sorted(sig)): (tuple(sorted(sizes)), size) for sig, sizes, size in out}
+    assert len(got) == len(out)  # every class once
+    return got
+
+
+def test_vector_partitions_are_the_signature_classes():
+    # the classes and sizes of the enumerator are the signatures of the
+    # partitions of bracket(lam)'s ground set, grouped by brute force; with
+    # a cap of one, or one nonzero coordinate, only the matching ones
+    for n in range(8):
+        width = n.bit_length() + 1
+        for lam in integer_partitions(n):
+            counts = lam.parts
+            got = _classes(counts, width)
+            assert got == _grouped(counts, width), lam
+            assert sum(size for _, size in got.values()) == _bell(n)
+            assert _classes(counts, width, cap=1) == _grouped(counts, width, cap=1), lam
+            assert _classes(counts, width, refining=True) == _grouped(
+                counts, width, refining=True
+            ), lam
+
+
+def test_vector_partitions_of_the_multiplicities_are_the_coarsening_classes():
+    # the coarsenings of bracket(lam), up to permuting its equal blocks,
+    # with the shapes their merged blocks make
+    for n in range(8):
+        for lam in integer_partitions(n):
+            mult = lam.multiplicities()
+            counts, parts = tuple(mult.values()), tuple(mult)
+            width = len(lam).bit_length() + 1
+            got = _classes(counts, width, parts)
+            assert got == _grouped(counts, width, parts), lam
+            assert sum(size for _, size in got.values()) == _bell(len(lam))
+    # (1^8) has 22 classes, one per integer partition of 8, not 4140
+    assert len(_classes((8,), 5, (1,))) == 22
+
+
+def _rho_of_the_ncsym_row(basis, target, lam):
+    """The Sym row as rho of the NCSym row at bracket(lam), key by key."""
+    scale = sym.rho_scalar(basis, lam)
+    if target == "e":
+        scale *= expressions._e_scale(lam.n)
+    row = expressions._key_convert(basis, target, bracket(lam))
+    return SymExpr(target, dict(sym._rho_row(target, row, scale)))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_orbit_sums_match_rho_of_the_ncsym_rows(n):
+    keys = list(integer_partitions(n))
+    if n == 8:
+        keys = [ip_(8), ip_(3, 3, 2), ip_(3, 1, 1, 1, 1, 1), ip_(*[1] * 8)]
+    for lam in keys:
+        for basis, target in itertools.permutations("mpex", 2):
+            got = convert_sym(SymExpr.element(basis, lam), target)
+            assert got == _rho_of_the_ncsym_row(basis, target, lam), (basis, target, lam)
 
 
 def test_omega():
