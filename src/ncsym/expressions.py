@@ -11,15 +11,17 @@ power sum basis:
     e at s    = sum over refinements tau of mu(bottom, tau) p at tau
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
-The composites that involve m, and x <-> e, do not walk the comparable pairs
-through p.  e at s -> m at nu is 1 when the meet of s and nu is the bottom,
-else 0: one walk over the partitions nu of the key's ground set that never
-puts two elements of one block of s together visits exactly these nu.  For
-the other five, one such walk, ``_by_signature``, records for each block of
-nu how many of its elements fall in each block of the key; for x <-> e it
-visits only the refinements of the key.  These counts, the signature, fix
-the meet and the join of the key with nu, so the coefficient is computed
-once per distinct signature and a target is built only when it is nonzero.
+Every basis change but the identity and m <-> p is one walk over the
+partitions nu of the key's ground set, ``_by_signature``, with the walk
+and coefficient that one route table, ``_signature_rule``, names.  The
+walk records for each block of nu how many of its elements fall in each
+block of the key.  These counts, the signature, fix the meet and the join
+of the key with nu, so the coefficient is computed once per distinct
+signature and a target is built only when it is nonzero.  x -> m, m -> x
+and m -> e walk every nu, x <-> e and the p routes the refinements of the
+key, and e -> m, with weight one, the nu that meet the key in the bottom.
+No composite walks the comparable pairs through p.
+
 The interval below pi is the product, over the blocks B of pi, of partition
 lattices (Stanley, EC1 3.10), so three coefficients are, up to a scale, a
 product over the blocks of pi of a block weight at the shape lam of nu on B,
@@ -44,12 +46,12 @@ sums mu(bottom, tau) over the tau between nu and pi.  The interval sum of
 an independent check of x -> e.
 
 Each basis change has one memoized table, ``_key_convert``, and every
-table holds int weights.  ``_signature_rule`` gives ``sym`` the coefficient
-functions of the five signature composites too; it sums them over orbit
-classes instead of over targets.  Möbius values are integers; the rows
-into e are rational, but at degree n every coefficient is an integer
-multiple of 1 / (n-1)!, since mu(bottom, pi) and each group weight of the
-m -> e sum have a denominator dividing (n-1)!.  So a row into e stores
+table holds int weights.  ``sym`` reads the same route table for every
+route but m <-> p, and sums each coefficient over orbit classes instead
+of over targets.  Möbius values are integers; the rows into e are
+rational, but at degree n every coefficient is an integer multiple of
+1 / (n-1)!, since mu(bottom, pi) and each group weight of the m -> e sum
+have a denominator dividing (n-1)!.  So a row into e stores
 each coefficient times ``_e_scale(n)`` = (n-1)!, and every reader of such
 a row divides by that scale once per key.  Every operation below extends
 its rule on keys through ``combination.linear`` or ``bilinear``, except
@@ -83,7 +85,6 @@ from .lattice import (
     interval,
     merge_mobius,
     mobius,
-    refinements,
     top_refinement_sum,
 )
 from .limits import check_degree
@@ -184,46 +185,43 @@ def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
     a row into e holds each coefficient times ``_e_scale(pi.size)``."""
     if basis == target:
         return ((pi, _e_scale(pi.size) if target == "e" else 1),)
-    route = (basis, target)
-    if route == ("m", "p"):
-        return tuple((sigma, mobius(pi, sigma)) for sigma in coarsenings(pi))
-    if route == ("x", "p"):
-        return tuple((sigma, mobius(sigma, pi)) for sigma in refinements(pi))
-    if route == ("e", "p"):
-        bottom = _bottom(pi.ground)
-        return tuple((tau, mobius(bottom, tau)) for tau in refinements(pi))
-    if route == ("p", "m"):
-        return tuple((sigma, 1) for sigma in coarsenings(pi))
-    if route == ("p", "x"):
-        return tuple((sigma, 1) for sigma in refinements(pi))
-    if route == ("p", "e"):
-        unit = _e_scale(pi.size) // mobius(_bottom(pi.ground), pi)
-        return tuple((sigma, mobius(sigma, pi) * unit) for sigma in refinements(pi))
-    if route == ("e", "m"):
-        owner = {x: 1 << i for i, blk in enumerate(pi.blocks) for x in blk}
-        elems = sorted(pi.ground)
-        unit = [owner[x] for x in elems]
+    if {basis, target} == {"m", "p"}:
         return tuple(
-            (SetPartition._trusted(blocks, pi.ground), 1)
-            for blocks, _ in _rgs_blocks(elems, unit, unit)
+            (sigma, mobius(pi, sigma) if basis == "m" else 1) for sigma in coarsenings(pi)
         )
-    coefficient, refining = _signature_rule(basis, target, tuple(map(len, pi.blocks)))
-    return _by_signature(pi, coefficient, refining)
+    coefficient, walk = _signature_rule(basis, target, tuple(map(len, pi.blocks)))
+    return _by_signature(pi, coefficient, walk)
 
 
 def _signature_rule(basis: str, target: str, sizes: tuple):
-    """The coefficient function of x -> m, m -> x, m -> e, x -> e or e -> x
-    at a key with these block sizes, for ``_by_signature``, and whether
-    only the refinements of the key can have a nonzero coefficient."""
+    """(coefficient, walk) of a basis change other than the identity and
+    m <-> p, at a key with these block sizes, for ``_by_signature``.  The
+    walk holds every nu that can have a nonzero coefficient: "all", the
+    "refinements" of the key, or the "transversal" nu, in which no two
+    elements of one key block share a block.  None is weight one."""
     n = sum(sizes)
-    if (basis, target) == ("x", "m"):
-        return partial(_per_block, top_refinement_sum, 1), False
+    route = (basis, target)
+    if route == ("e", "m"):
+        return None, "transversal"
+    if route == ("x", "m"):
+        return partial(_per_block, top_refinement_sum, 1), "all"
     if basis == "m":
-        return partial(_m_to, target, _e_scale(n) if target == "e" else 1), False
-    if basis == "x":  # x -> e
+        return partial(_m_to, target, _e_scale(n) if target == "e" else 1), "all"
+    if route == ("p", "x"):
+        return None, "refinements"
+    if route == ("x", "p"):
+        coefficient = partial(_per_block, _block_mobius, 1)
+    elif route == ("p", "e"):
+        unit = _e_scale(n) // prod(merge_mobius(s) for s in sizes)
+        coefficient = partial(_per_block, _block_mobius, unit)
+    elif route == ("e", "p"):
+        coefficient = _vector_mobius
+    elif route == ("x", "e"):
         scale = _e_scale(n) // prod(_e_scale(s) for s in sizes)
-        return partial(_per_block, _x_to_e_block, scale), True
-    return partial(_per_block, _e_to_x_block, 1), True
+        coefficient = partial(_per_block, _x_to_e_block, scale)
+    else:  # e -> x
+        coefficient = partial(_per_block, _e_to_x_block, 1)
+    return coefficient, "refinements"
 
 
 @lru_cache(maxsize=None)
@@ -260,30 +258,35 @@ def _groupings(sizes: tuple) -> tuple:
     return tuple(out)
 
 
-def _by_signature(pi: SetPartition, coefficient, refining=False) -> tuple:
-    """(nu, c) for every partition nu of pi's ground set with a nonzero
-    c = coefficient(width, signature), in ``set_partitions`` order; with
-    ``refining``, only the refinements nu of pi.
+def _by_signature(pi: SetPartition, coefficient, walk: str) -> tuple:
+    """(nu, c) for every partition nu of pi's ground set in ``walk`` (see
+    ``_signature_rule``) with a nonzero c = coefficient(width, signature),
+    or c = 1 when the coefficient is None, in ``set_partitions`` order.
 
     The signature records, for each block of nu, how many of its elements
     fall in each block of pi: one int per block of nu, the count for block
     i of pi in bits [width * i, width * (i + 1)), the ints sorted.  The
-    coefficient is computed once per distinct signature.  A refining walk
-    never lets an element join a block whose word has a count outside the
-    element's own field.
+    coefficient is computed once per distinct signature.  An element never
+    joins a block whose word has a count outside its own field (refining)
+    or in it (transversal, whose fields need only one bit).
     """
-    width = pi.size.bit_length()
+    width = 1 if walk == "transversal" else pi.size.bit_length()
     field = {x: 1 << width * i for i, blk in enumerate(pi.blocks) for x in blk}
     elems = sorted(pi.ground)
     unit = [field[x] for x in elems]
     clash = None
-    if refining:
+    if walk == "transversal":
+        clash = unit
+    elif walk == "refinements":
         low = (1 << width) - 1
         full = (1 << width * len(pi.blocks)) - 1
         clash = [full ^ u * low for u in unit]
+    walked = _rgs_blocks(elems, unit, clash)
+    if coefficient is None:
+        return tuple((SetPartition._trusted(blocks, pi.ground), 1) for blocks, _ in walked)
     seen = {}
     out = []
-    for blocks, words in _rgs_blocks(elems, unit, clash):
+    for blocks, words in walked:
         sig = tuple(sorted(words))
         c = seen.get(sig)
         if c is None:
@@ -331,6 +334,19 @@ def _per_block(weight, scale: int, width: int, sig: tuple) -> int:
         sizes.sort()
         coeff *= weight(tuple(sizes))
     return coeff
+
+
+def _block_mobius(sizes: tuple) -> int:
+    """mu(nu, pi) on one block of pi holding blocks of nu of these sizes."""
+    return merge_mobius(len(sizes))
+
+
+def _vector_mobius(width: int, sig: tuple) -> int:
+    """The product, over the words of a signature, of the Möbius value of
+    merging as many things as the word counts: mu(bottom, nu) on the
+    refining signatures, mu(bracket, sigma) on the coarsening classes of
+    ``sym``."""
+    return prod(merge_mobius(_support(width, word)[1]) for word in sig)
 
 
 def _m_to(target: str, scale: int, width: int, sig: tuple) -> int:
@@ -405,7 +421,10 @@ def _key_product(basis: str, k1: SetPartition, k2: SetPartition):
     the second key shifted past the first.
     """
     if basis == "m":
-        return mu_key(basis, k1, k2.relabel({i: i + k1.size for i in k2.ground}))
+        n = k1.size
+        blocks = tuple(tuple(x + n for x in blk) for blk in k2.blocks)
+        shifted = SetPartition._trusted(blocks, frozenset(x + n for x in k2.ground))
+        return mu_key(basis, k1, shifted)
     return ((slash(k1, k2), 1),)
 
 

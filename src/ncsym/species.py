@@ -100,14 +100,15 @@ def mu_key(basis: str, a: SetPartition, b: SetPartition):
     Yields (partition, weight) with weight one.  p and x: the disjoint union.
     m: one partition per partial matching of the blocks of a with the blocks
     of b, each matched pair merged into one block.  The matchings grow
-    factorially, so m honours the degree cap; p and x are uncapped.
+    factorially, so m honours the degree cap; p and x are uncapped.  The
+    caller guarantees that the ground sets are disjoint; no key is checked.
     """
+    ground = a.ground | b.ground
     if basis in ("p", "x"):
-        yield disjoint_union(a, b), 1
+        yield SetPartition._trusted(tuple(sorted(a.blocks + b.blocks)), ground), 1
         return
     check_degree(a.size + b.size)
     la, lb = len(a.blocks), len(b.blocks)
-    ground = a.ground | b.ground
     for k in range(min(la, lb) + 1):
         for asel in itertools.combinations(range(la), k):
             chosen = set(asel)

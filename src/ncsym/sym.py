@@ -10,13 +10,14 @@ coefficient at a target nu is constant on the orbits of the permutations
 that fix every block of the bracket, and these orbits are the intersection
 signatures of ``expressions._by_signature``: the multisets of count
 vectors summing to lam.  So a row is summed one orbit class at a time,
-class size times the coefficient function of the NCSym table, and no
-NCSym row or set partition is built; m <-> p walks the coarsenings of the
-bracket up to permuting its equal blocks.  The product of two keys is rho
-of the NCSym product at their brackets.  The operations extend their key
-rules through ``combination.linear``/``bilinear``.  The monomial oracle is
-not used here; it expands the same elements as polynomials and checks
-them.
+class size times the coefficient, and no NCSym row or set partition is
+built.  Every route but m <-> p reads its walk and coefficient from the
+route table of the NCSym conversions, ``expressions._signature_rule``;
+m <-> p walks the coarsenings of the bracket up to permuting its equal
+blocks.  The product of two keys is rho of the NCSym product at their
+brackets.  The operations extend their key rules through
+``combination.linear``/``bilinear``.  The monomial oracle is not used
+here; it expands the same elements as polynomials and checks them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from math import factorial, prod
 
 from . import expressions as _ncsym  # bound late: expressions imports sym
 from .combination import Combination, bilinear, linear
-from .lattice import merge_mobius
 from .limits import check_degree
 from .partitions import (
     IntegerPartition,
@@ -110,7 +110,7 @@ def _scaled_row(basis: str, shapes: dict, scale: int) -> tuple:
     )
 
 
-def _vector_partitions(counts: tuple, width: int, weights=None, cap=None, refining=False):
+def _vector_partitions(counts: tuple, width: int, walk: str, weights=None):
     """Every multiset of nonzero count vectors summing to ``counts``, once,
     as (signature, sizes, class size) triples.
 
@@ -125,9 +125,10 @@ def _vector_partitions(counts: tuple, width: int, weights=None, cap=None, refini
     sizes sum_i v_i * weights[i] in the same order (with the default
     weights of one, sorted sizes are the shape of nu).  Every count must
     stay below 2 ** (width - 1): the top bit of each field is a guard, so
-    one subtraction tells whether a vector fits into what is left.  ``cap``
-    bounds every coordinate, and ``refining`` keeps only the vectors with
-    one nonzero coordinate (the refinements of the groups).
+    one subtraction tells whether a vector fits into what is left.  The
+    walk is one of ``expressions._signature_rule``'s: "all" vectors, the
+    "refinements" of the groups (one nonzero coordinate), or the
+    "transversal" ones (every coordinate at most one).
 
     A depth-first walk over nonincreasing vectors (Knuth, TAOCP 4A,
     7.2.1.5, multiset partitions): the next vector holds the top nonzero
@@ -138,19 +139,18 @@ def _vector_partitions(counts: tuple, width: int, weights=None, cap=None, refini
     k = len(counts)
     guard = ((1 << width * k) - 1) // ((1 << width) - 1) << width - 1  # each field's top bit
     by_top = [[] for _ in counts]  # (word, size, prod v_i!) by top coordinate, decreasing
-    words, sizes, full = [], [], 0  # refining: a count of one is one vector
+    words, sizes, full = [], [], 0  # refinements: a count of one is one vector
     for i, c in enumerate(counts):
         w = weights[i] if weights else 1
-        if refining and c == 1:
+        if walk == "refinements" and c == 1:
             words.append(1 << width * i)
             sizes.append(w)
             continue
         full |= c << width * i
-        if refining:
-            most = min(c, cap or c)
-            by_top[i] = [(v << width * i, v * w, factorial(v)) for v in range(most, 0, -1)]
-    if not refining:  # every sub-vector, top coordinate first, in decreasing order
-        ranges = [range(min(c, cap or c), -1, -1) for c in reversed(counts)]
+        if walk == "refinements":
+            by_top[i] = [(v << width * i, v * w, factorial(v)) for v in range(c, 0, -1)]
+    if walk != "refinements":  # every sub-vector, top coordinate first, in decreasing order
+        ranges = [range(1 if walk == "transversal" else c, -1, -1) for c in reversed(counts)]
         top_first = weights[::-1] if weights else (1,) * k
         for vec in itertools.product(*ranges):
             word, size, weight = 0, 0, 1
@@ -164,7 +164,7 @@ def _vector_partitions(counts: tuple, width: int, weights=None, cap=None, refini
     fitting = {}  # what is left -> (its top coordinate, the (index, vector) that fit)
     out = []
 
-    def walk(rem, top, last, run, denominator):
+    def descend(rem, top, last, run, denominator):
         fits = fitting.get(rem)
         if fits is None:
             t = (rem.bit_length() - 1) // width
@@ -181,7 +181,7 @@ def _vector_partitions(counts: tuple, width: int, weights=None, cap=None, refini
             words.append(word)
             sizes.append(size)
             if left:
-                walk(left, t, j, repeat, denominator * weight * repeat)
+                descend(left, t, j, repeat, denominator * weight * repeat)
             else:
                 d = denominator * weight * repeat
                 out.append((tuple(words), tuple(sizes), total // d))
@@ -189,26 +189,10 @@ def _vector_partitions(counts: tuple, width: int, weights=None, cap=None, refini
             sizes.pop()
 
     if full:
-        walk(full, -1, 0, 0, 1)
+        descend(full, -1, 0, 0, 1)
     else:
         out.append((tuple(words), tuple(sizes), total))
     return out
-
-
-def _one(width: int, sig: tuple) -> int:
-    return 1
-
-
-def _block_mobius(sizes: tuple) -> int:
-    """mu(nu, pi) on one block of pi holding blocks of nu of these sizes."""
-    return merge_mobius(len(sizes))
-
-
-def _vector_mobius(width: int, sig: tuple) -> int:
-    """The product, over the vectors, of the Möbius value of merging as
-    many things as the vector counts: mu(bottom, nu) on the refining
-    signatures, mu(bracket, sigma) on the coarsening classes."""
-    return prod(merge_mobius(_ncsym._support(width, word)[1]) for word in sig)
 
 
 @lru_cache(maxsize=None)
@@ -222,36 +206,22 @@ def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
     its shape.  m <-> p: the targets are the coarsenings of the bracket,
     whose classes up to permuting its equal blocks are the vector
     partitions of the multiplicities of lam's parts, with coefficient
-    mu(bracket, sigma) (m -> p) or one.  The others class the partitions
-    of the ground set by signature: x -> m, m -> x, m -> e, x -> e and
-    e -> x take the coefficient function of the NCSym table, e -> m is one
-    on the vectors of zeros and ones, and the other p routes are the
-    Möbius products on the refining signatures.
+    mu(bracket, sigma) (m -> p) or one.  Every other route classes the
+    partitions of the ground set by signature and reads its walk and
+    coefficient function from the NCSym table's ``_signature_rule``.
     """
     n = lam.n
-    route = (basis, target)
-    counts, weights, cap, refining = lam.parts, None, None, True
-    if route in (("m", "p"), ("p", "m")):
+    if {basis, target} == {"m", "p"}:
         mult = lam.multiplicities()
-        counts, weights, refining = tuple(mult.values()), tuple(mult), False
-        coefficient = _vector_mobius if basis == "m" else _one
-    elif route in (("x", "m"), ("m", "x"), ("m", "e"), ("x", "e"), ("e", "x")):
-        coefficient, refining = _ncsym._signature_rule(basis, target, lam.parts)
-    elif route == ("e", "m"):
-        coefficient, cap, refining = _one, 1, False
-    elif route == ("x", "p"):
-        coefficient = partial(_ncsym._per_block, _block_mobius, 1)
-    elif route == ("p", "e"):
-        unit = _ncsym._e_scale(n) // prod(merge_mobius(part) for part in lam.parts)
-        coefficient = partial(_ncsym._per_block, _block_mobius, unit)
-    elif route == ("e", "p"):
-        coefficient = _vector_mobius
-    else:  # p -> x
-        coefficient = _one
+        counts, weights, walk = tuple(mult.values()), tuple(mult), "all"
+        coefficient = _ncsym._vector_mobius if basis == "m" else None
+    else:
+        counts, weights = lam.parts, None
+        coefficient, walk = _ncsym._signature_rule(basis, target, lam.parts)
     width = sum(counts).bit_length() + 1
     shapes = {}
-    for sig, sizes, size in _vector_partitions(counts, width, weights, cap, refining):
-        c = coefficient(width, sig)
+    for sig, sizes, size in _vector_partitions(counts, width, walk, weights):
+        c = 1 if coefficient is None else coefficient(width, sig)
         if c:
             shape = tuple(sorted(sizes))
             shapes[shape] = shapes.get(shape, 0) + size * c

@@ -527,7 +527,7 @@ def test_x_e_builds_only_its_output_partitions(monkeypatch, text, size, basis, t
     assert all(is_refinement(sigma, s) for sigma, _ in table)
 
 
-def _refining_walk_keys():
+def _signature_walk_keys():
     for n in range(7):
         yield from set_partitions(range(1, n + 1)) if n else [SetPartition.empty()]
     # 4-bit signature fields
@@ -535,11 +535,45 @@ def _refining_walk_keys():
     yield sp_("1,2,3,4/5,6/7/8")
 
 
-def test_refining_signature_walk_visits_the_refinements_in_order():
-    for pi in _refining_walk_keys():
-        got = [nu for nu, _ in _by_signature(pi, lambda width, sig: 1, refining=True)]
-        want = [s for s in set_partitions(pi.ground) if is_refinement(s, pi)]
-        assert got == want, pi
+def test_signature_walks_visit_their_partitions_in_order():
+    # each walk of _signature_rule, with and without a coefficient, visits
+    # exactly its partitions of the key's ground set, in set_partitions order
+    for pi in _signature_walk_keys():
+        bottom = SetPartition.singletons(sorted(pi.ground))
+        member = {
+            "all": lambda s: True,
+            "refinements": lambda s: is_refinement(s, pi),
+            "transversal": lambda s: meet(s, pi) == bottom,
+        }
+        for walk, keep in member.items():
+            want = [s for s in set_partitions(pi.ground) if keep(s)]
+            for coefficient in (None, lambda width, sig: 1):
+                got = [nu for nu, _ in _by_signature(pi, coefficient, walk)]
+                assert got == want, (pi, walk, coefficient)
+
+
+def test_table_rows_match_their_defining_sums():
+    # the defining formulas, summed here without the signature walk: the p
+    # routes are Möbius sums over the refinements of the key, and e -> m is
+    # one on every nu that meets the key in the bottom
+    for n in range(7):
+        for pi in set_partitions(range(1, n + 1)) if n else [SetPartition.empty()]:
+            bottom = SetPartition.singletons(range(1, n + 1))
+            unit = factorial(max(n - 1, 0)) // lattice.mobius(bottom, pi)
+            finer = list(lattice.refinements(pi))
+            want = {
+                ("x", "p"): {s: lattice.mobius(s, pi) for s in finer},
+                ("p", "x"): {s: 1 for s in finer},
+                ("e", "p"): {s: lattice.mobius(bottom, s) for s in finer},
+                ("p", "e"): {s: lattice.mobius(s, pi) * unit for s in finer},
+                ("e", "m"): {
+                    s: 1 for s in set_partitions(pi.ground) if meet(s, pi) == bottom
+                },
+            }
+            for (basis, target), row in want.items():
+                table = _key_convert.__wrapped__(basis, target, pi)
+                assert len({s for s, _ in table}) == len(table)
+                assert dict(table) == row, (basis, target, pi)
 
 
 def test_convert_accumulates_over_a_common_denominator():
@@ -605,6 +639,12 @@ def test_oracle_routes_stay_independent():
     assert signature_route | {"_rgs_blocks"} <= reachable_names(
         expressions, "_key_convert"
     )
+    # every route but the identity and m <-> p walks one signature walk,
+    # never the lattice's refinements, which the x expansion of the
+    # monomial oracle and the fock triangulation check walk
+    assert not {"refinements", "_bottom"} & reachable_names(expressions, "_key_convert")
+    assert "refinements" in reachable_names(monomials, "expand_nc")
+    assert "refinements" in reachable_names(checks, "_fock_triangulation")
     # the rows into e carry a scale that only their readers divide out
     assert "_e_scale" in reachable_names(expressions, "_key_convert")
     table_route = signature_route | {"_e_scale"}

@@ -61,6 +61,34 @@ def test_mu_power_and_extra():
         species_mu(sel("p", "12"), sel("p", "2,3"))
 
 
+def test_products_build_their_keys_unchecked(monkeypatch):
+    # species_mu has checked that the ground sets are disjoint, and the
+    # graded m product shifts its second key past the first, so neither
+    # validates a key: no SetPartition goes through its checking constructor
+    a, b = sp_("1,4/6"), sp_("2,5/3")
+    pairs = {
+        basis: (
+            SpeciesElement({1, 4, 6}, basis, {a: 2, sp_("1/4,6"): -1}),
+            SpeciesElement({2, 3, 5}, basis, {b: 1, sp_("2,3,5"): 3}),
+        )
+        for basis in "px"
+    }
+    m1 = NCSymExpr("m", {sp_("13/2"): 1, sp_("1/2"): -2})
+    m2 = NCSymExpr("m", {sp_("12"): 1, sp_("1/23"): 5})
+    validated = []
+    monkeypatch.setattr(SetPartition, "__init__", lambda self, blocks=(): validated.append(blocks))
+    got = {basis: species_mu(*pair) for basis, pair in pairs.items()}
+    product(m1, m2)
+    assert validated == []
+    monkeypatch.undo()
+    for basis, (left, right) in pairs.items():
+        want = {}
+        for (ka, ca), (kb, cb) in itertools.product(left.terms.items(), right.terms.items()):
+            key = disjoint_union(ka, kb)
+            want[key] = want.get(key, 0) + ca * cb
+        assert got[basis] == SpeciesElement({1, 2, 3, 4, 5, 6}, basis, want), basis
+
+
 def test_delta_monomial_and_power():
     v = sel("m", "1,2/3,5/4")
     t = species_delta(v, {1, 2}, {3, 4, 5})

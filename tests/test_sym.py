@@ -131,8 +131,14 @@ def test_rules_are_rho_of_the_ncsym_rules(monkeypatch):
     # without building an NCSym row; the product rule collapses the NCSym
     # product; neither detours through another Sym basis
     names = reachable_names(sym, "_key_convert_sym")
-    assert {"_vector_partitions", "_per_block", "_signature_rule"} <= names
-    assert {"_per_block", "_m_to"} <= reachable_names(expressions, "_signature_rule")
+    assert {"_vector_partitions", "_signature_rule", "_vector_mobius"} <= names
+    # the walk and coefficient of every route but m <-> p come from the one
+    # table that _key_convert reads; sym defines no coefficient function
+    assert {"_per_block", "_m_to", "_block_mobius", "_vector_mobius"} <= reachable_names(
+        expressions, "_signature_rule"
+    )
+    assert "_signature_rule" in reachable_names(expressions, "_key_convert")
+    assert not {"_one", "_block_mobius", "_vector_mobius", "_per_block"} & set(vars(sym))
     assert not names & {"_key_convert", "_by_signature", "_rho_row", "bracket"}
     assert not names & {"convert_sym", "concat"}
     names = reachable_names(sym, "_key_product_sym")
@@ -165,18 +171,18 @@ def _bell(n):
     return sum(1 for _ in _rgs_blocks(range(n)))
 
 
-def _grouped(counts, width, weights=None, cap=None, refining=False):
+def _grouped(counts, width, walk, weights=None):
     """Brute force: the partitions of a set split into groups of
     ``counts[i]`` elements, grouped by signature, as
-    {sorted signature: (shape, class size)}."""
+    {sorted signature: (shape, class size)}, only those in ``walk``."""
     owner = [i for i, c in enumerate(counts) for _ in range(c)]
     unit = [1 << width * i for i in owner]
     classes = {}
     for blocks, words in _rgs_blocks(range(len(owner)), unit):
         fields = [expressions._fields(width, word) for word in words]
-        if cap and any(c > cap for f in fields for _, c in f):
+        if walk == "transversal" and any(c > 1 for f in fields for _, c in f):
             continue
-        if refining and any(len(f) > 1 for f in fields):
+        if walk == "refinements" and any(len(f) > 1 for f in fields):
             continue
         shape = tuple(sorted(sum(weights[owner[x]] if weights else 1 for x in b) for b in blocks))
         entry = classes.setdefault(tuple(sorted(words)), [shape, 0])
@@ -185,8 +191,8 @@ def _grouped(counts, width, weights=None, cap=None, refining=False):
     return {sig: tuple(v) for sig, v in classes.items()}
 
 
-def _classes(counts, width, weights=None, cap=None, refining=False):
-    out = sym._vector_partitions(counts, width, weights, cap, refining)
+def _classes(counts, width, walk, weights=None):
+    out = sym._vector_partitions(counts, width, walk, weights)
     got = {tuple(sorted(sig)): (tuple(sorted(sizes)), size) for sig, sizes, size in out}
     assert len(got) == len(out)  # every class once
     return got
@@ -194,19 +200,17 @@ def _classes(counts, width, weights=None, cap=None, refining=False):
 
 def test_vector_partitions_are_the_signature_classes():
     # the classes and sizes of the enumerator are the signatures of the
-    # partitions of bracket(lam)'s ground set, grouped by brute force; with
-    # a cap of one, or one nonzero coordinate, only the matching ones
+    # partitions of bracket(lam)'s ground set, grouped by brute force; on
+    # the transversal and refining walks only the matching ones
     for n in range(8):
         width = n.bit_length() + 1
         for lam in integer_partitions(n):
             counts = lam.parts
-            got = _classes(counts, width)
-            assert got == _grouped(counts, width), lam
-            assert sum(size for _, size in got.values()) == _bell(n)
-            assert _classes(counts, width, cap=1) == _grouped(counts, width, cap=1), lam
-            assert _classes(counts, width, refining=True) == _grouped(
-                counts, width, refining=True
-            ), lam
+            for walk in ("all", "transversal", "refinements"):
+                got = _classes(counts, width, walk)
+                assert got == _grouped(counts, width, walk), (lam, walk)
+                if walk == "all":
+                    assert sum(size for _, size in got.values()) == _bell(n)
 
 
 def test_vector_partitions_of_the_multiplicities_are_the_coarsening_classes():
@@ -217,11 +221,11 @@ def test_vector_partitions_of_the_multiplicities_are_the_coarsening_classes():
             mult = lam.multiplicities()
             counts, parts = tuple(mult.values()), tuple(mult)
             width = len(lam).bit_length() + 1
-            got = _classes(counts, width, parts)
-            assert got == _grouped(counts, width, parts), lam
+            got = _classes(counts, width, "all", parts)
+            assert got == _grouped(counts, width, "all", parts), lam
             assert sum(size for _, size in got.values()) == _bell(len(lam))
     # (1^8) has 22 classes, one per integer partition of 8, not 4140
-    assert len(_classes((8,), 5, (1,))) == 22
+    assert len(_classes((8,), 5, "all", (1,))) == 22
 
 
 def _rho_of_the_ncsym_row(basis, target, lam):
