@@ -74,8 +74,6 @@ from .partitions import (
     SetPartition,
     apply_permutation,
     bracket,
-    bracket_permutation,
-    concat,
     disjoint_union,
     integer_partitions,
     lambda_factorial,

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a property check fails, 2 on usage, parse,
-or domain errors.
+or domain errors, 141 (128 + SIGPIPE, as a shell reports a program that
+SIGPIPE ended) when the reader closes standard output early.
 
 ``main(argv)`` returns the exit code and may be called any number of times
 in one process: the argument parser is built on the first call and reused,
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -340,7 +342,15 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         _check_arguments(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left, and the flush at exit, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

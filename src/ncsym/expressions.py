@@ -11,16 +11,18 @@ power sum basis:
     e at s    = sum over refinements tau of mu(bottom, tau) p at tau
     p at tau  = (1 / mu(bottom, tau)) sum over refinements s of mu(s, tau) e at s
 
-Every basis change but the identity and m <-> p is one walk over the
-partitions nu of the key's ground set, ``_by_signature``, with the walk
-and coefficient that one route table, ``_signature_rule``, names.  The
-walk records for each block of nu how many of its elements fall in each
-block of the key.  These counts, the signature, fix the meet and the join
-of the key with nu, so the coefficient is computed once per distinct
-signature and a target is built only when it is nonzero.  x -> m, m -> x
-and m -> e walk every nu, x <-> e and the p routes the refinements of the
-key, and e -> m, with weight one, the nu that meet the key in the bottom.
-No composite walks the comparable pairs through p.
+Every basis change is one walk over the partitions nu of the key's
+ground set, ``_by_signature``, with the walk and coefficient that one
+route table, ``_signature_rule``, names.  The walk records for each block
+of nu how many of its elements fall in each block of the key.  These
+counts, the signature, fix the meet and the join of the key with nu, so
+the coefficient is computed once per distinct signature and a target is
+built only when it is nonzero.  x -> m, m -> x and m -> e walk every nu,
+m <-> p the coarsenings of the key, x <-> e and the other p routes its
+refinements, and e -> m, with weight one, the nu that meet the key in the
+bottom.  No composite walks the comparable pairs through p, and no basis
+change reaches the lattice's enumerations or Möbius values, which the
+oracles walk.
 
 The interval below pi is the product, over the blocks B of pi, of partition
 lattices (Stanley, EC1 3.10), so three coefficients are, up to a scale, a
@@ -47,13 +49,13 @@ an independent check of x -> e.
 
 Each basis change has one memoized table, ``_key_convert``, and every
 table holds int weights.  ``sym`` reads the same route table for every
-route but m <-> p, and sums each coefficient over orbit classes instead
-of over targets.  Möbius values are integers; the rows into e are
-rational, but at degree n every coefficient is an integer multiple of
-1 / (n-1)!, since mu(bottom, pi) and each group weight of the m -> e sum
-have a denominator dividing (n-1)!.  So a row into e stores
-each coefficient times ``_e_scale(n)`` = (n-1)!, and every reader of such
-a row divides by that scale once per key.  Every operation below extends
+route, and sums each coefficient over orbit classes instead of over
+targets.  Möbius values are integers; the rows into e are rational, but
+at degree n every coefficient is an integer multiple of 1 / (n-1)!,
+since mu(bottom, pi) and each group weight of the m -> e sum have a
+denominator dividing (n-1)!.  So a row into e stores each coefficient
+times ``_e_scale(n)`` = (n-1)!, and every reader of such a row divides by
+that scale once per key.  Every operation below extends
 its rule on keys through ``combination.linear`` or ``bilinear``, except
 ``lift_R`` and ``x_to_m_top``, which work one shape class at a time and
 give every key of one shape one shared coefficient; results are
@@ -181,30 +183,28 @@ def _e_scale(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _key_convert(basis: str, target: str, pi: SetPartition) -> tuple:
-    """One basis element in the target basis, as (key, int weight) pairs;
+    """One basis element in another basis, as (key, int weight) pairs;
     a row into e holds each coefficient times ``_e_scale(pi.size)``."""
-    if basis == target:
-        return ((pi, _e_scale(pi.size) if target == "e" else 1),)
-    if {basis, target} == {"m", "p"}:
-        return tuple(
-            (sigma, mobius(pi, sigma) if basis == "m" else 1) for sigma in coarsenings(pi)
-        )
     coefficient, walk = _signature_rule(basis, target, tuple(map(len, pi.blocks)))
     return _by_signature(pi, coefficient, walk)
 
 
 def _signature_rule(basis: str, target: str, sizes: tuple):
-    """(coefficient, walk) of a basis change other than the identity and
-    m <-> p, at a key with these block sizes, for ``_by_signature``.  The
-    walk holds every nu that can have a nonzero coefficient: "all", the
-    "refinements" of the key, or the "transversal" nu, in which no two
-    elements of one key block share a block.  None is weight one."""
+    """(coefficient, walk) of a change between two distinct bases, at a
+    key with these block sizes, for ``_by_signature``.  The walk holds
+    every nu that can have a nonzero coefficient: "all", the "refinements"
+    or the "coarsenings" of the key, or the "transversal" nu, in which no
+    two elements of one key block share a block.  None is weight one."""
     n = sum(sizes)
     route = (basis, target)
     if route == ("e", "m"):
         return None, "transversal"
     if route == ("x", "m"):
         return partial(_per_block, top_refinement_sum, 1), "all"
+    if route == ("m", "p"):
+        return _vector_mobius, "coarsenings"
+    if route == ("p", "m"):
+        return None, "coarsenings"
     if basis == "m":
         return partial(_m_to, target, _e_scale(n) if target == "e" else 1), "all"
     if route == ("p", "x"):
@@ -268,20 +268,28 @@ def _by_signature(pi: SetPartition, coefficient, walk: str) -> tuple:
     i of pi in bits [width * i, width * (i + 1)), the ints sorted.  The
     coefficient is computed once per distinct signature.  An element never
     joins a block whose word has a count outside its own field (refining)
-    or in it (transversal, whose fields need only one bit).
+    or in it (transversal, whose fields need only one bit).  The coarsening
+    walk's elements are the blocks of pi, so every nu merges whole blocks,
+    and each word, one field, counts the blocks of pi that it merges.
     """
     width = 1 if walk == "transversal" else pi.size.bit_length()
-    field = {x: 1 << width * i for i, blk in enumerate(pi.blocks) for x in blk}
-    elems = sorted(pi.ground)
-    unit = [field[x] for x in elems]
-    clash = None
-    if walk == "transversal":
-        clash = unit
-    elif walk == "refinements":
-        low = (1 << width) - 1
-        full = (1 << width * len(pi.blocks)) - 1
-        clash = [full ^ u * low for u in unit]
-    walked = _rgs_blocks(elems, unit, clash)
+    if walk == "coarsenings":
+        walked = (
+            (tuple(tuple(sorted(itertools.chain(*group))) for group in groups), words)
+            for groups, words in _rgs_blocks(pi.blocks, (1,) * len(pi.blocks))
+        )
+    else:
+        field = {x: 1 << width * i for i, blk in enumerate(pi.blocks) for x in blk}
+        elems = sorted(pi.ground)
+        unit = [field[x] for x in elems]
+        clash = None
+        if walk == "transversal":
+            clash = unit
+        elif walk == "refinements":
+            low = (1 << width) - 1
+            full = (1 << width * len(pi.blocks)) - 1
+            clash = [full ^ u * low for u in unit]
+        walked = _rgs_blocks(elems, unit, clash)
     if coefficient is None:
         return tuple((SetPartition._trusted(blocks, pi.ground), 1) for blocks, _ in walked)
     seen = {}
@@ -344,8 +352,8 @@ def _block_mobius(sizes: tuple) -> int:
 def _vector_mobius(width: int, sig: tuple) -> int:
     """The product, over the words of a signature, of the Möbius value of
     merging as many things as the word counts: mu(bottom, nu) on the
-    refining signatures, mu(bracket, sigma) on the coarsening classes of
-    ``sym``."""
+    refining signatures, mu(pi, sigma) on the coarsening ones, and
+    mu(bracket, sigma) on the coarsening classes of ``sym``."""
     return prod(merge_mobius(_support(width, word)[1]) for word in sig)
 
 

@@ -319,11 +319,6 @@ def lambda_superfactorial(lam: IntegerPartition) -> int:
     return prod(factorial(m) for m in lam.multiplicities().values())
 
 
-def concat(lam: IntegerPartition, gam: IntegerPartition) -> IntegerPartition:
-    """Multiset union of the parts, resorted nonincreasing."""
-    return IntegerPartition(lam.parts + gam.parts)
-
-
 def integer_partitions(n: int, max_part: int | None = None):
     """Yield the partitions of n in descending lexicographic order."""
     if n < 0:
@@ -375,16 +370,3 @@ def apply_permutation(eta: Permutation, pi: SetPartition) -> SetPartition:
             f"permutation of size {len(eta)} cannot act on {pi} (need ground {{1..{len(eta)}}})"
         )
     return pi.relabel({i: eta(i) for i in range(1, len(eta) + 1)})
-
-
-def bracket_permutation(pi: SetPartition) -> Permutation:
-    """A permutation eta with eta(bracket(pi.shape())) == pi.
-
-    Blocks are matched to the bracket blocks by decreasing size, ties broken
-    by minimum element.
-    """
-    if not pi.is_standard():
-        raise ValueError("bracket_permutation needs a partition of {1..n}")
-    ordered = sorted(pi.blocks, key=lambda blk: (-len(blk), blk))
-    images = [x for blk in ordered for x in blk]
-    return Permutation(images)

@@ -11,13 +11,13 @@ that fix every block of the bracket, and these orbits are the intersection
 signatures of ``expressions._by_signature``: the multisets of count
 vectors summing to lam.  So a row is summed one orbit class at a time,
 class size times the coefficient, and no NCSym row or set partition is
-built.  Every route but m <-> p reads its walk and coefficient from the
-route table of the NCSym conversions, ``expressions._signature_rule``;
-m <-> p walks the coarsenings of the bracket up to permuting its equal
-blocks.  The product of two keys is rho of the NCSym product at their
-brackets.  The operations extend their key rules through
-``combination.linear``/``bilinear``.  The monomial oracle is not used
-here; it expands the same elements as polynomials and checks them.
+built.  Every route reads its walk and coefficient from the route table
+of the NCSym conversions, ``expressions._signature_rule``; the coarsening
+walk of m <-> p runs up to permuting the bracket's equal blocks.  The
+product of two keys is rho of the NCSym product at their brackets.  The
+operations extend their key rules through ``combination.linear``/
+``bilinear``.  The monomial oracle is not used here; it expands the same
+elements as polynomials and checks them.
 """
 
 from __future__ import annotations
@@ -203,21 +203,17 @@ def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
 
     The NCSym coefficient is constant on the orbit classes of the targets,
     so the row sums class size times coefficient over the classes, each at
-    its shape.  m <-> p: the targets are the coarsenings of the bracket,
-    whose classes up to permuting its equal blocks are the vector
-    partitions of the multiplicities of lam's parts, with coefficient
-    mu(bracket, sigma) (m -> p) or one.  Every other route classes the
-    partitions of the ground set by signature and reads its walk and
-    coefficient function from the NCSym table's ``_signature_rule``.
+    its shape.  The walk and coefficient function come from the NCSym
+    table's ``_signature_rule``, and the classes are the partitions of
+    the ground set by signature.  The coarsenings of the bracket (m <-> p)
+    are classed up to permuting its equal blocks instead: the vector
+    partitions of the multiplicities of lam's parts.
     """
-    n = lam.n
-    if {basis, target} == {"m", "p"}:
+    coefficient, walk = _ncsym._signature_rule(basis, target, lam.parts)
+    counts, weights = lam.parts, None
+    if walk == "coarsenings":
         mult = lam.multiplicities()
         counts, weights, walk = tuple(mult.values()), tuple(mult), "all"
-        coefficient = _ncsym._vector_mobius if basis == "m" else None
-    else:
-        counts, weights = lam.parts, None
-        coefficient, walk = _ncsym._signature_rule(basis, target, lam.parts)
     width = sum(counts).bit_length() + 1
     shapes = {}
     for sig, sizes, size in _vector_partitions(counts, width, walk, weights):
@@ -225,7 +221,7 @@ def _key_convert_sym(basis: str, target: str, lam: IntegerPartition) -> tuple:
         if c:
             shape = tuple(sorted(sizes))
             shapes[shape] = shapes.get(shape, 0) + size * c
-    scale = rho_scalar(basis, lam) * (_ncsym._e_scale(n) if target == "e" else 1)
+    scale = rho_scalar(basis, lam) * (_ncsym._e_scale(lam.n) if target == "e" else 1)
     return _scaled_row(target, {IntegerPartition(s): c for s, c in shapes.items()}, scale)
 
 

@@ -19,6 +19,11 @@ def ip_(*parts) -> IntegerPartition:
     return IntegerPartition(parts)
 
 
+def concat(lam: IntegerPartition, gam: IntegerPartition) -> IntegerPartition:
+    """Multiset union of the parts of two integer partitions."""
+    return IntegerPartition(lam.parts + gam.parts)
+
+
 def elt(basis: str, text: str) -> NCSymExpr:
     return NCSymExpr.element(basis, SetPartition.parse(text))
 

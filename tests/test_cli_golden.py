@@ -167,3 +167,24 @@ def test_module_entry_point_matches_goldens(argv):
     assert proc.returncode == case["exit_code"]
     assert proc.stdout.decode("utf-8") == case["stdout"]
     assert proc.stderr.decode("utf-8") == case["stderr"]
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops after one line, as `| head -n 1` does: the
+    # output (about 200 KB) overflows the pipe, so the writer meets a
+    # closed pipe
+    env = {k: v for k, v in os.environ.items() if k != "NCSYM_MAX_DEGREE"}
+    src = str(Path(ncsym.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["convert", "m{1/2/3/4/5/6/7}", "--to", "p", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncsym.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert stderr == b""  # no traceback

@@ -454,7 +454,8 @@ def test_rows_into_e_hold_ints_scaled_by_the_degree():
         scale = factorial(max(pi.size - 1, 0))
         for basis in ("m", "p", "x"):
             want = {}
-            for sigma, c in _key_convert(basis, "p", pi):
+            in_p = _key_convert(basis, "p", pi) if basis != "p" else ((pi, 1),)
+            for sigma, c in in_p:
                 for tau, d in rational_p_to_e(sigma).items():
                     want[tau] = want.get(tau, 0) + c * d
             table = _key_convert(basis, "e", pi)
@@ -543,6 +544,7 @@ def test_signature_walks_visit_their_partitions_in_order():
         member = {
             "all": lambda s: True,
             "refinements": lambda s: is_refinement(s, pi),
+            "coarsenings": lambda s: is_refinement(pi, s),
             "transversal": lambda s: meet(s, pi) == bottom,
         }
         for walk, keep in member.items():
@@ -554,22 +556,27 @@ def test_signature_walks_visit_their_partitions_in_order():
 
 def test_table_rows_match_their_defining_sums():
     # the defining formulas, summed here without the signature walk: the p
-    # routes are Möbius sums over the refinements of the key, and e -> m is
-    # one on every nu that meets the key in the bottom
-    for n in range(7):
+    # routes are Möbius sums over the refinements or, for m, the
+    # coarsenings of the key, and e -> m is one on every nu that meets the
+    # key in the bottom; m <-> p through degree 7, the others through 6
+    for n in range(8):
         for pi in set_partitions(range(1, n + 1)) if n else [SetPartition.empty()]:
-            bottom = SetPartition.singletons(range(1, n + 1))
-            unit = factorial(max(n - 1, 0)) // lattice.mobius(bottom, pi)
-            finer = list(lattice.refinements(pi))
+            coarser = list(lattice.coarsenings(pi))
             want = {
-                ("x", "p"): {s: lattice.mobius(s, pi) for s in finer},
-                ("p", "x"): {s: 1 for s in finer},
-                ("e", "p"): {s: lattice.mobius(bottom, s) for s in finer},
-                ("p", "e"): {s: lattice.mobius(s, pi) * unit for s in finer},
-                ("e", "m"): {
-                    s: 1 for s in set_partitions(pi.ground) if meet(s, pi) == bottom
-                },
+                ("m", "p"): {s: lattice.mobius(pi, s) for s in coarser},
+                ("p", "m"): {s: 1 for s in coarser},
             }
+            if n < 7:
+                bottom = SetPartition.singletons(range(1, n + 1))
+                unit = factorial(max(n - 1, 0)) // lattice.mobius(bottom, pi)
+                finer = list(lattice.refinements(pi))
+                want[("x", "p")] = {s: lattice.mobius(s, pi) for s in finer}
+                want[("p", "x")] = {s: 1 for s in finer}
+                want[("e", "p")] = {s: lattice.mobius(bottom, s) for s in finer}
+                want[("p", "e")] = {s: lattice.mobius(s, pi) * unit for s in finer}
+                want[("e", "m")] = {
+                    s: 1 for s in set_partitions(pi.ground) if meet(s, pi) == bottom
+                }
             for (basis, target), row in want.items():
                 table = _key_convert.__wrapped__(basis, target, pi)
                 assert len({s for s, _ in table}) == len(table)
@@ -639,10 +646,13 @@ def test_oracle_routes_stay_independent():
     assert signature_route | {"_rgs_blocks"} <= reachable_names(
         expressions, "_key_convert"
     )
-    # every route but the identity and m <-> p walks one signature walk,
-    # never the lattice's refinements, which the x expansion of the
-    # monomial oracle and the fock triangulation check walk
-    assert not {"refinements", "_bottom"} & reachable_names(expressions, "_key_convert")
+    # every basis change walks one signature walk, never the lattice's
+    # enumerations or Möbius values: the x expansion of the monomial oracle
+    # and the fock triangulation check walk the refinements, and the m
+    # expansion of the benchmark's power-sum oracle sums mobius over the
+    # coarsenings
+    lattice_route = {"coarsenings", "mobius", "interval", "refinements"}
+    assert not (lattice_route | {"_bottom"}) & reachable_names(expressions, "_key_convert")
     assert "refinements" in reachable_names(monomials, "expand_nc")
     assert "refinements" in reachable_names(checks, "_fock_triangulation")
     # the rows into e carry a scale that only their readers divide out

@@ -15,9 +15,7 @@ from ncsym import (
     SetPartition,
     apply_permutation,
     bracket,
-    bracket_permutation,
     coarsenings,
-    concat,
     convert,
     disjoint_union,
     format_terms,
@@ -35,7 +33,7 @@ from ncsym import (
 )
 from ncsym import partitions
 
-from conftest import ip_, sp_
+from conftest import concat, ip_, sp_
 
 
 def test_canonical_form():
@@ -100,13 +98,6 @@ def test_lambda_superfactorial():
     assert lambda_superfactorial(ip_(3, 2, 2, 1)) == 2
     assert lambda_superfactorial(IntegerPartition()) == 1
     assert lambda_superfactorial(ip_(2, 2, 2)) == 6
-
-
-def test_concat():
-    assert concat(ip_(3, 2, 2, 1), ip_(2, 2, 1)) == ip_(3, 2, 2, 2, 2, 1, 1)
-    lam = ip_(4, 1)
-    assert concat(lam, IntegerPartition()) == lam
-    assert concat(ip_(1), ip_(3)) == ip_(3, 1)
 
 
 def test_integer_partition_parse_strict():
@@ -201,13 +192,6 @@ def test_slash_shape_is_concat():
     for pi in set_partitions(range(1, 4)):
         for sigma in set_partitions(range(1, 3)):
             assert slash(pi, sigma).shape() == concat(pi.shape(), sigma.shape())
-
-
-def test_bracket_permutation_reaches_every_partition():
-    for n in range(8):
-        for pi in set_partitions(range(1, n + 1)):
-            eta = bracket_permutation(pi)
-            assert apply_permutation(eta, bracket(pi.shape())) == pi
 
 
 def test_restriction_splitting():

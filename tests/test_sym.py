@@ -21,9 +21,9 @@ from ncsym import (
 from ncsym import expressions, sym
 from ncsym.lattice import _rgs_blocks
 from ncsym.parsing import format_terms
-from ncsym.partitions import bracket, concat, lambda_factorial, lambda_superfactorial
+from ncsym.partitions import bracket, lambda_factorial, lambda_superfactorial
 
-from conftest import ip_, reachable_names
+from conftest import concat, ip_, reachable_names
 
 
 def s_elt(basis, *parts):
@@ -131,9 +131,9 @@ def test_rules_are_rho_of_the_ncsym_rules(monkeypatch):
     # without building an NCSym row; the product rule collapses the NCSym
     # product; neither detours through another Sym basis
     names = reachable_names(sym, "_key_convert_sym")
-    assert {"_vector_partitions", "_signature_rule", "_vector_mobius"} <= names
-    # the walk and coefficient of every route but m <-> p come from the one
-    # table that _key_convert reads; sym defines no coefficient function
+    assert {"_vector_partitions", "_signature_rule"} <= names
+    # the walk and coefficient of every route come from the one table that
+    # _key_convert reads; sym defines no coefficient function
     assert {"_per_block", "_m_to", "_block_mobius", "_vector_mobius"} <= reachable_names(
         expressions, "_signature_rule"
     )
