@@ -39,13 +39,24 @@ BASIS_CHOICES = ("m", "p", "e", "x")
 
 
 def _parse_int_set(text: str) -> frozenset:
+    """The set of the comma-separated ints of ``text``; each at most once,
+    as ``SetPartition.parse`` takes each element of its ground set."""
     s = text.strip()
     if s in ("", "()"):
         return frozenset()
+    pieces = s.split(",")
     try:
-        return frozenset(int(piece) for piece in s.split(","))
+        elements = [int(piece) for piece in pieces]
     except ValueError:
         raise ParseError(f"malformed element set {text!r}", 0) from None
+    seen = set()
+    position = text.index(s)
+    for piece, x in zip(pieces, elements):
+        if x in seen:
+            raise ParseError(f"repeated element {x} in element set {text!r}", position)
+        seen.add(x)
+        position += len(piece) + 1
+    return frozenset(seen)
 
 
 def _dumps(value, indent: str = "\n") -> str:

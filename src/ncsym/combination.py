@@ -5,10 +5,11 @@ plus, for the species types, the ground sets its keys partition.  Every
 basis change, product and coproduct is the linear or bilinear extension of
 a rule on keys; ``linear`` and ``bilinear`` are the one kernel that extends
 a rule, accumulating integer numerators over the inputs' common denominator
-and dividing once per output key into a nonzero ``Fraction``.  The kernels'
-rules build only valid keys, so each kernel wraps its result through the
-unchecked ``Combination._trusted``; only parsing and the public
-constructors validate keys and coefficients.  The independent monomial
+and dividing once per distinct output value into one nonzero ``Fraction``,
+which every output key with that value shares.  The kernels' rules build
+only valid keys, so each kernel wraps its result through the unchecked
+``Combination._trusted``; only parsing and the public constructors
+validate keys and coefficients.  The independent monomial
 oracle keeps its own polynomial classes and does not use this module, and
 the checks do not use the kernel.
 """
@@ -26,10 +27,17 @@ def _numerators(terms: dict) -> tuple:
 
 
 def _divide(out: dict, den: int) -> dict:
-    """The nonzero accumulated values over den, every one a Fraction."""
-    if den != 1:
-        return {k: Fraction(v, den) for k, v in out.items() if v}
-    return {k: v if type(v) is Fraction else Fraction(v) for k, v in out.items() if v}
+    """The nonzero accumulated values over den, every one a Fraction; keys
+    with equal values share one Fraction, built once."""
+    shared = {}
+    result = {}
+    for k, v in out.items():
+        if v:
+            c = shared.get(v)
+            if c is None:
+                c = shared[v] = Fraction(v, den)
+            result[k] = c
+    return result
 
 
 def linear(terms: dict, rule) -> dict:

@@ -55,11 +55,14 @@ at degree n every coefficient is an integer multiple of 1 / (n-1)!,
 since mu(bottom, pi) and each group weight of the m -> e sum have a
 denominator dividing (n-1)!.  So a row into e stores each coefficient
 times ``_e_scale(n)`` = (n-1)!, and every reader of such a row divides by
-that scale once per key.  Every operation below extends
-its rule on keys through ``combination.linear`` or ``bilinear``, except
-``lift_R`` and ``x_to_m_top``, which work one shape class at a time and
-give every key of one shape one shared coefficient; results are
-Fractions throughout, and the kernels wrap them unchecked.
+that scale once per key.  The m -> e join sums are integral by
+construction: ``_coarsening_sum`` carries the (n-1)! in every group
+weight, so an m -> e row does no ``Fraction`` arithmetic.  Every
+operation below extends its rule on keys through ``combination.linear``
+or ``bilinear``, except ``lift_R`` and ``x_to_m_top``, which work one
+shape class at a time and give every key of one shape one shared
+coefficient; results are Fractions throughout, one per distinct value,
+and the kernels wrap them unchecked.
 
 Every Hopf operation uses its basis's own rule; p is a hub only for
 ``convert``.  The product of two keys is their shifted concatenation on the
@@ -77,7 +80,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from . import sym as _sym
 from .combination import Combination, bilinear, linear
@@ -206,7 +209,7 @@ def _signature_rule(basis: str, target: str, sizes: tuple):
     if route == ("p", "m"):
         return None, "coarsenings"
     if basis == "m":
-        return partial(_m_to, target, _e_scale(n) if target == "e" else 1), "all"
+        return partial(_m_to, target), "all"
     if route == ("p", "x"):
         return None, "refinements"
     if route == ("x", "p"):
@@ -266,11 +269,13 @@ def _by_signature(pi: SetPartition, coefficient, walk: str) -> tuple:
     The signature records, for each block of nu, how many of its elements
     fall in each block of pi: one int per block of nu, the count for block
     i of pi in bits [width * i, width * (i + 1)), the ints sorted.  The
-    coefficient is computed once per distinct signature.  An element never
-    joins a block whose word has a count outside its own field (refining)
-    or in it (transversal, whose fields need only one bit).  The coarsening
-    walk's elements are the blocks of pi, so every nu merges whole blocks,
-    and each word, one field, counts the blocks of pi that it merges.
+    coefficient is memoized on the walk's words in block order, which are
+    sorted into the signature only on a miss, and computed once per
+    distinct signature.  An element never joins a block whose word has a
+    count outside its own field (refining) or in it (transversal, whose
+    fields need only one bit).  The coarsening walk's elements are the
+    blocks of pi, so every nu merges whole blocks, and each word, one
+    field, counts the blocks of pi that it merges.
     """
     width = 1 if walk == "transversal" else pi.size.bit_length()
     if walk == "coarsenings":
@@ -292,13 +297,17 @@ def _by_signature(pi: SetPartition, coefficient, walk: str) -> tuple:
         walked = _rgs_blocks(elems, unit, clash)
     if coefficient is None:
         return tuple((SetPartition._trusted(blocks, pi.ground), 1) for blocks, _ in walked)
-    seen = {}
+    seen = {}  # the walk's words, in block order -> coefficient
+    by_sig = {}  # signature -> coefficient
     out = []
     for blocks, words in walked:
-        sig = tuple(sorted(words))
-        c = seen.get(sig)
+        c = seen.get(words)
         if c is None:
-            c = seen[sig] = coefficient(width, sig)
+            sig = tuple(sorted(words))
+            c = by_sig.get(sig)
+            if c is None:
+                c = by_sig[sig] = coefficient(width, sig)
+            seen[words] = c
         if c:
             out.append((SetPartition._trusted(blocks, pi.ground), c))
     return tuple(out)
@@ -357,14 +366,15 @@ def _vector_mobius(width: int, sig: tuple) -> int:
     return prod(merge_mobius(_support(width, word)[1]) for word in sig)
 
 
-def _m_to(target: str, scale: int, width: int, sig: tuple) -> int:
-    """m at tau -> x or e at nu, from the join of tau and nu, times scale.
+def _m_to(target: str, width: int, sig: tuple) -> int:
+    """m at tau -> x or e at nu, from the join of tau and nu; into e, times
+    ``_e_scale`` of the degree, like every row into e.
 
     The p-route coefficient at nu sums mu(tau, sigma) (x) or
     mu(tau, sigma) mu(nu, sigma) / mu(bottom, sigma) (e) over the sigma
     above the join of tau and nu.  Both factor over the blocks of sigma, so
     the sum depends only on the (size, tau blocks, nu blocks) profile of
-    the join's blocks.
+    the join's blocks, and ``_coarsening_sum`` already carries the scale.
     """
     joined = []  # (mask over the blocks of tau, size, nu blocks) per join block
     for word in sig:
@@ -379,17 +389,27 @@ def _m_to(target: str, scale: int, width: int, sig: tuple) -> int:
         apart.append((mask, size, v))
         joined = apart
     profile = sorted((size, mask.bit_count(), v) for mask, size, v in joined)
-    c = _coarsening_sum(target, tuple(profile))
-    return c.numerator * (scale // c.denominator)
+    return _coarsening_sum(target, tuple(profile))
 
 
 @lru_cache(maxsize=None)
-def _coarsening_sum(target: str, profile: tuple) -> int | Fraction:
-    """Sum over the set partitions of the profile's entries of the product,
-    over groups, of the group weight at the group's summed entry."""
+def _coarsening_sum(target: str, profile: tuple) -> int:
+    """Sum over the set partitions of the profile's (size, tau blocks, nu
+    blocks) entries of the product, over groups, of the group weight at the
+    group's summed entry (s, t, v): mu1(t) on x, and
+    mu1(t) mu1(v) / mu1(s) on e.
+
+    The e sum is integral by construction: it is returned times (S-1)!,
+    S the profile's total size.  The group holding the first entry leaves
+    entries of total size S - s, whose sum carries (S-s-1)!, so it weighs
+    mu1(t) mu1(v) (-1)^(s-1) (S-1)! / ((s-1)! (S-s-1)!), which is
+    mu1(t) mu1(v) (-1)^(s-1) (S-1) C(S-2, s-1) while entries remain and
+    mu1(t) mu1(v) (-1)^(s-1) for the last group.
+    """
     if not profile:
         return 1
     (s0, t0, v0), rest = profile[0], profile[1:]
+    size = sum(e[0] for e in profile)
     total = 0
     for r in range(len(rest) + 1):
         for chosen in itertools.combinations(range(len(rest)), r):
@@ -398,10 +418,11 @@ def _coarsening_sum(target: str, profile: tuple) -> int | Fraction:
                 s += rest[i][0]
                 t += rest[i][1]
                 v += rest[i][2]
-            if target == "x":
-                w = merge_mobius(t)
-            else:
-                w = Fraction(merge_mobius(t) * merge_mobius(v), merge_mobius(s))
+            w = merge_mobius(t)
+            if target == "e":
+                w *= merge_mobius(v) * (-1) ** (s - 1)
+                if s < size:
+                    w *= (size - 1) * comb(size - 2, s - 1)
             left = tuple(e for i, e in enumerate(rest) if i not in chosen)
             total += w * _coarsening_sum(target, left)
     return total
@@ -699,8 +720,12 @@ def x_to_m_top(n: int) -> NCSymExpr:
     The coefficient of each monomial term is, up to the global sign
     (-1)^(n-1), the number of acyclic orientations of the complete
     multipartite graph of the key with a unique sink at a fixed vertex.
-    The graph depends only on the shape of the key, so the count is taken
-    once per shape, from its first partition, and shared by all of them.
+    The graph depends only on the shape of the key, so one walk over the
+    partitions of {1..n}, each element of unit one so that a partition's
+    words are its block sizes, sorts every partition into its shape; the
+    count is taken once per shape, from its first partition, and one
+    coefficient is shared by all of them.  Terms come shape by shape in
+    ``integer_partitions`` order, each shape in ``set_partitions`` order.
     """
     from .graphs import count_acyclic_unique_sink
 
@@ -708,14 +733,22 @@ def x_to_m_top(n: int) -> NCSymExpr:
         raise ValueError("degree must be at least 1")
     check_degree(n)
     sign = (-1) ** (n - 1)
+    ground = frozenset(range(1, n + 1))
+    shape_of = {}  # block sizes in block order -> shape
+    by_shape = {}  # shape -> its block tuples
+    for blocks, sizes in _rgs_blocks(range(1, n + 1), (1,) * n):
+        shape = shape_of.get(sizes)
+        if shape is None:
+            shape = shape_of[sizes] = tuple(sorted(sizes, reverse=True))
+        by_shape.setdefault(shape, []).append(blocks)
     terms = {}
     for lam in integer_partitions(n):
-        taus = _partitions_of_shape(lam)
-        c = count_acyclic_unique_sink(taus[0], 1)
+        taus = by_shape[lam.parts]
+        c = count_acyclic_unique_sink(SetPartition._trusted(taus[0], ground), 1)
         if c:
             coeff = Fraction(sign * c)
-            for tau in taus:
-                terms[tau] = coeff
+            for blocks in taus:
+                terms[SetPartition._trusted(blocks, ground)] = coeff
     return NCSymExpr._trusted("m", terms)
 
 

@@ -89,10 +89,14 @@ def _rgs_blocks(elems, unit=None, clash=None):
     One depth-first walk keeps a single partial partition: the next element
     joins each open block in turn and then opens a new one, which visits
     the restricted growth strings in lexicographic order (Knuth, TAOCP 4A,
-    7.2.1.5).  Given ``unit``, one int per element, every block carries a
-    word, the sum of ``unit`` over its elements, and the walk yields
-    (blocks, words) pairs; an element never joins a block whose word
-    shares a bit with its entry of ``clash``.
+    7.2.1.5).  The walk is one generator frame: a stack holds, for each
+    placed element, its block and what that block and its word were
+    before, so backtracking restores them and resumes with the next block.
+    The last element is placed inline, once per open block and once in a
+    new block, so the leaves cost no push or pop.  Given ``unit``, one int
+    per element, every block carries a word, the sum of ``unit`` over its
+    elements, and the walk yields (blocks, words) pairs; an element never
+    joins a block whose word shares a bit with its entry of ``clash``.
     """
     n = len(elems)
     if n < 2:
@@ -102,28 +106,50 @@ def _rgs_blocks(elems, unit=None, clash=None):
     words_out = unit is not None
     unit = unit or (0,) * n
     clash = clash or (0,) * n
-    blocks, words = [(elems[0],)], [unit[0]]
     last = n - 1
-
-    def walk(i):
-        x, u, c = elems[i], unit[i], clash[i]
-        for b in range(len(blocks) + 1):
-            if b == len(blocks):  # open a new block
-                blocks.append(())
-                words.append(0)
-            blk, w = blocks[b], words[b]
-            if w & c:
+    x, u, c = elems[last], unit[last], clash[last]
+    blocks, words = [(elems[0],)], [unit[0]]
+    stack = []  # (block, block before, word before) of elements 1 .. i - 1
+    i = 1
+    b = 0  # element i tries block b next
+    while True:
+        if i == last:
+            for j in range(len(blocks)):
+                w = words[j]
+                if not w & c:
+                    blk = blocks[j]
+                    blocks[j], words[j] = blk + (x,), w + u
+                    yield (tuple(blocks), tuple(words)) if words_out else tuple(blocks)
+                    blocks[j], words[j] = blk, w
+            blocks.append((x,))
+            words.append(u)
+            yield (tuple(blocks), tuple(words)) if words_out else tuple(blocks)
+            blocks.pop()
+            words.pop()
+        else:
+            k = len(blocks)
+            ci = clash[i]
+            while b < k and words[b] & ci:
+                b += 1
+            if b <= k:  # b == k opens a new block
+                if b == k:
+                    blocks.append(())
+                    words.append(0)
+                blk, w = blocks[b], words[b]
+                stack.append((b, blk, w))
+                blocks[b], words[b] = blk + (elems[i],), w + unit[i]
+                i, b = i + 1, 0
                 continue
-            blocks[b], words[b] = blk + (x,), w + u
-            if i < last:
-                yield from walk(i + 1)
-            else:
-                yield (tuple(blocks), tuple(words)) if words_out else tuple(blocks)
+        if i == 1:
+            return
+        i -= 1
+        b, blk, w = stack.pop()
+        if blk:
             blocks[b], words[b] = blk, w
-        blocks.pop()
-        words.pop()
-
-    yield from walk(1)
+        else:
+            blocks.pop()
+            words.pop()
+        b += 1
 
 
 def refinements(pi: SetPartition):

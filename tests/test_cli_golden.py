@@ -16,11 +16,11 @@ commutative images at degrees 7 and 8 (``x{7} - 1/2*x{4,3}`` to e,
 ``m{3,1}`` times ``2*m{2,2} - 1/3*m{2,1,1}``, all with ``--sym``), the
 unique-sink orientation count of ``graph 12/34/5/6/7`` at sink 3 (``504``)
 by enumeration and by the chromatic route, each in text and ``--json``,
-and four inputs that must exit 2: a product and a key above the degree
-cap, a key with overlapping blocks, and orientation enumeration on eight
-vertices.  The exit-2 cases print nothing on standard output, so their
-standard error pins the message.  A change that alters any of them fails
-here.
+and five inputs that must exit 2: a product and a key above the degree
+cap, a key with overlapping blocks, orientation enumeration on eight
+vertices, and a ``--split`` that repeats an element.  The exit-2 cases
+print nothing on standard output, so their standard error pins the
+message.  A change that alters any of them fails here.
 
 ``main`` builds its parser once per process and renders each result only
 in the requested form, so the goldens are also replayed in one process

@@ -34,7 +34,7 @@ from ncsym import (
     tensor_convert,
     tensor_product,
 )
-from ncsym.combination import Combination
+from ncsym.combination import Combination, bilinear, linear
 
 from conftest import imported_names, ip_, sp_
 
@@ -212,6 +212,47 @@ def test_kernel_results_hold_nonzero_fractions_and_valid_keys(kernel):
         r = KERNELS[kernel](rng)
         assert all(type(c) is Fraction and c for c in r.terms.values())
         assert type(r)(*r._context(), r.terms) == r
+
+
+def _assert_one_fraction_per_value(result, want):
+    assert result == want
+    assert all(type(c) is Fraction for c in result.values())
+    by_value = {}
+    for c in result.values():
+        by_value.setdefault(c, set()).add(id(c))
+    assert all(len(ids) == 1 for ids in by_value.values())
+
+
+def test_kernels_share_one_fraction_per_distinct_value():
+    # int, Fraction and cancelling weights, over denominators one and six;
+    # the values 2 and Fraction(2) are one value, and zeros are dropped
+    weights = {"a": (("u", 2), ("v", 1), ("w", 2), ("z", 1)), "b": (("v", 1), ("y", 2), ("z", -1))}
+    rule = weights.__getitem__
+    for scale in (1, Fraction(1, 6)):
+        terms = {"a": 1 * scale, "b": Fraction(1) * scale}
+        want = {"u": 2 * scale, "v": 2 * scale, "w": 2 * scale, "y": 2 * scale}
+        _assert_one_fraction_per_value(linear(terms, rule), want)
+    fractional = {"a": (("u", Fraction(2, 3)), ("v", Fraction(2, 3)), ("w", 0))}
+    _assert_one_fraction_per_value(
+        linear({"a": Fraction(3, 2)}, fractional.__getitem__), {"u": 1, "v": 1}
+    )
+
+    def pairs(k1, k2):
+        return (k1 + k2, 3), (k2 + k1, 3), ("same", int(k1 == k2))
+
+    left, right = {"a": Fraction(1, 2), "b": 1}, {"a": 1, "c": Fraction(1, 3)}
+    want = {
+        "aa": Fraction(3),
+        "ac": Fraction(1, 2),
+        "ca": Fraction(1, 2),
+        "ba": Fraction(3),
+        "ab": Fraction(3),
+        "bc": Fraction(1),
+        "cb": Fraction(1),
+        "same": Fraction(1, 2),
+    }
+    _assert_one_fraction_per_value(bilinear(left, right, pairs), want)
+    assert linear({"a": 1}, lambda k: (("u", 1), ("u", -1))) == {}
 
 
 @pytest.mark.parametrize(

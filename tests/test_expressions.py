@@ -464,6 +464,53 @@ def test_rows_into_e_hold_ints_scaled_by_the_degree():
             assert got == {tau: v for tau, v in want.items() if v}, (basis, pi)
 
 
+def _mu1(c):
+    return (-1) ** (c - 1) * factorial(c - 1)
+
+
+def _rational_join_sum(profile):
+    """The m -> e join sum with its rational group weight
+    mu1(t) mu1(v) / mu1(s), summed over the groupings of the profile."""
+    if not profile:
+        return Fraction(1)
+    first, rest = profile[0], profile[1:]
+    total = Fraction(0)
+    for r in range(len(rest) + 1):
+        for chosen in itertools.combinations(range(len(rest)), r):
+            group = [first] + [rest[i] for i in chosen]
+            s, t, v = (sum(entry[j] for entry in group) for j in range(3))
+            left = tuple(entry for i, entry in enumerate(rest) if i not in chosen)
+            total += Fraction(_mu1(t) * _mu1(v), _mu1(s)) * _rational_join_sum(left)
+    return total
+
+
+def test_m_to_e_join_sums_are_integral_by_construction(monkeypatch):
+    # every join profile that an m -> e row meets through degree 6, and
+    # every profile its sum recurses into: an int, (S-1)! times the
+    # rational sum, S the profile's total size
+    real = expressions._coarsening_sum
+    profiles = set()
+
+    def recording(target, profile):
+        if target == "e":
+            profiles.add(profile)
+        return real(target, profile)
+
+    monkeypatch.setattr(expressions, "_coarsening_sum", recording)
+    real.cache_clear()
+    for n in range(7):
+        for pi in set_partitions(range(1, n + 1)) if n else [SetPartition.empty()]:
+            rule = expressions._signature_rule("m", "e", tuple(map(len, pi.blocks)))
+            _by_signature(pi, *rule)
+    assert len(profiles) > 100
+    assert max(len(profile) for profile in profiles) == 6
+    for profile in profiles:
+        got = real("e", profile)
+        size = sum(entry[0] for entry in profile)
+        assert type(got) is int, profile
+        assert got == factorial(max(size - 1, 0)) * _rational_join_sum(profile), profile
+
+
 def test_convert_into_e_scales_each_key_by_its_own_degree():
     empty = SetPartition.empty()
     keys = [empty, sp_("1"), sp_("12"), sp_("1/2"), sp_("13/25/4")]

@@ -90,6 +90,9 @@ WALK_GROUNDS = [tuple(range(1, n + 1)) for n in range(8)] + [
     (4,),
     (2, 5, 11, 13, 20),
     (3, 7, 10, 12, 15, 16),
+    # eight elements: with unit and clash the walk backtracks through a
+    # stack of full depth
+    (1, 3, 4, 6, 9, 10, 12, 14),
 ]
 
 
@@ -113,6 +116,15 @@ def test_partition_walk_matches_brute_force(elems):
         assert next(_rgs_blocks(elems, ones)) == ((elems,), (len(elems),))
         bottom = (tuple((x,) for x in elems), tuple(ones))
         assert list(_rgs_blocks(elems, ones, ones)) == [bottom]
+
+
+def test_partition_walk_is_lazy():
+    # Bell(15) is about 1.4e9: only a lazy walk hands out its first partitions
+    walk = set_partitions(range(1, 16))
+    assert next(walk) == SetPartition.whole(range(1, 16))
+    assert next(walk) == SetPartition([range(1, 15), (15,)])
+    blocks = _rgs_blocks(range(1, 16), [1] * 15, [1] * 15)
+    assert next(blocks) == (tuple((x,) for x in range(1, 16)), (1,) * 15)
 
 
 def _assert_canonical(p):

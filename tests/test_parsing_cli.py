@@ -15,6 +15,7 @@ from ncsym import (
     parse_sym,
     set_partitions,
 )
+from ncsym import cli
 from ncsym.cli import main
 
 from conftest import elt, ip_, sp_
@@ -128,6 +129,27 @@ def test_cli_coproduct(capsys):
     assert main(["coproduct", "x{1,2,3/4}", "--split", "1,2"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "-1*x{1,2} (x) x{3/4} + 1*x{1/2} (x) x{3/4}"
+
+
+def test_cli_split_rejects_a_repeated_element(capsys):
+    # a repeat would silently collapse the split part, as SetPartition.parse
+    # refuses a repeated ground element
+    assert cli._parse_int_set(" 3, 1,2") == frozenset({1, 2, 3})
+    for text, repeated, position in (("1,1", 1, 2), (" 2, 1,02", 2, 6)):
+        with pytest.raises(ParseError) as info:
+            cli._parse_int_set(text)
+        assert str(info.value) == (
+            f"repeated element {repeated} in element set {text!r} (at position {position})"
+        )
+        assert info.value.position == position
+    for argv in (
+        ["coproduct", "x{1,2,3/4}", "--split", "1,1"],
+        ["species", "delta", "x{1,3,5/2,4/6}", "--split", "1,2,1"],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: repeated element 1 in element set")
 
 
 def test_cli_mobius(capsys):
