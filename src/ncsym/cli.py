@@ -40,18 +40,18 @@ BASIS_CHOICES = ("m", "p", "e", "x")
 
 def _parse_int_set(text: str) -> frozenset:
     """The set of the comma-separated ints of ``text``; each at most once,
-    as ``SetPartition.parse`` takes each element of its ground set."""
+    as ``SetPartition.parse`` takes each element of its ground set.  An
+    error points at the first piece that is not an int or repeats one."""
     s = text.strip()
     if s in ("", "()"):
         return frozenset()
-    pieces = s.split(",")
-    try:
-        elements = [int(piece) for piece in pieces]
-    except ValueError:
-        raise ParseError(f"malformed element set {text!r}", 0) from None
     seen = set()
     position = text.index(s)
-    for piece, x in zip(pieces, elements):
+    for piece in s.split(","):
+        try:
+            x = int(piece)
+        except ValueError:
+            raise ParseError(f"malformed element set {text!r}", position) from None
         if x in seen:
             raise ParseError(f"repeated element {x} in element set {text!r}", position)
         seen.add(x)

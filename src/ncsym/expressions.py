@@ -315,23 +315,22 @@ def _by_signature(pi: SetPartition, coefficient, walk: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def _fields(width: int, word: int) -> tuple:
-    """(i, count) for every nonzero count packed in a signature word."""
+    """(fields, mask, total) of a signature word: fields holds (i, count)
+    for every nonzero count packed in the word, mask has bit i set for each
+    of them, and total is the sum of the counts."""
     low = (1 << width) - 1
-    out = []
+    fields = []
+    mask = total = 0
     i = 0
     while word:
-        if word & low:
-            out.append((i, word & low))
+        c = word & low
+        if c:
+            fields.append((i, c))
+            mask |= 1 << i
+            total += c
         word >>= width
         i += 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _support(width: int, word: int) -> tuple:
-    """(bit mask of the nonzero fields, sum of the fields) of a signature word."""
-    fields = _fields(width, word)
-    return sum(1 << i for i, _ in fields), sum(c for _, c in fields)
+    return tuple(fields), mask, total
 
 
 def _per_block(weight, scale: int, width: int, sig: tuple) -> int:
@@ -344,7 +343,7 @@ def _per_block(weight, scale: int, width: int, sig: tuple) -> int:
     """
     traces = {}
     for word in sig:
-        for i, c in _fields(width, word):
+        for i, c in _fields(width, word)[0]:
             traces.setdefault(i, []).append(c)
     coeff = scale
     for sizes in traces.values():
@@ -363,7 +362,7 @@ def _vector_mobius(width: int, sig: tuple) -> int:
     merging as many things as the word counts: mu(bottom, nu) on the
     refining signatures, mu(pi, sigma) on the coarsening ones, and
     mu(bracket, sigma) on the coarsening classes of ``sym``."""
-    return prod(merge_mobius(_support(width, word)[1]) for word in sig)
+    return prod(merge_mobius(_fields(width, word)[2]) for word in sig)
 
 
 def _m_to(target: str, width: int, sig: tuple) -> int:
@@ -378,7 +377,7 @@ def _m_to(target: str, width: int, sig: tuple) -> int:
     """
     joined = []  # (mask over the blocks of tau, size, nu blocks) per join block
     for word in sig:
-        mask, size = _support(width, word)
+        _, mask, size = _fields(width, word)
         v = 1
         apart = []
         for other in joined:
@@ -683,19 +682,15 @@ def _shape_blocks(n: int, parts: tuple):
         b += 1
 
 
-@lru_cache(maxsize=None)
-def _partitions_of_shape(lam: IntegerPartition) -> tuple:
+def set_partitions_of_shape(lam: IntegerPartition) -> tuple:
+    """All partitions of {1..n} whose block sizes realize the given shape,
+    in ``set_partitions`` order; only that shape is enumerated, and nothing
+    is memoized."""
+    check_degree(lam.n)
     ground = frozenset(range(1, lam.n + 1))
     return tuple(
         SetPartition._trusted(blocks, ground) for blocks in _shape_blocks(lam.n, lam.parts)
     )
-
-
-def set_partitions_of_shape(lam: IntegerPartition) -> tuple:
-    """All partitions of {1..n} whose block sizes realize the given shape,
-    in ``set_partitions`` order; only that shape is enumerated."""
-    check_degree(lam.n)
-    return _partitions_of_shape(lam)
 
 
 def lift_R(expr: _sym.SymExpr) -> NCSymExpr:

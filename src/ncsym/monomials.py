@@ -15,6 +15,7 @@ otherwise (symmetrizing divides by n!).  ``coefficient()`` still returns a
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import factorial, prod
 
@@ -36,11 +37,13 @@ def _clean(terms) -> dict:
     return clean
 
 
-class NCPolynomial:
-    """Sparse polynomial in k noncommuting variables; keys are letter tuples.
+class _Polynomial:
+    """Sparse polynomial in k variables, keyed by monomial.
 
-    ``terms`` maps each word to an ``int`` when the coefficient is integral
-    and to a ``Fraction`` otherwise.
+    ``terms`` maps each key to an ``int`` when the coefficient is integral
+    and to a ``Fraction`` otherwise.  A subclass fixes the kind of key: its
+    unit, and ``_combine``, which multiplies two monomials.  Polynomials of
+    two kinds neither add nor multiply.
     """
 
     __slots__ = ("k", "terms")
@@ -48,114 +51,79 @@ class NCPolynomial:
     def __init__(self, k: int, terms=None):
         self.k = k
         self.terms = _clean(terms)
+
+    def coefficient(self, key) -> Fraction:
+        return Fraction(self.terms.get(tuple(key), 0))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.k == other.k and self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self.k}, {len(self.terms)} terms)"
+
+    def _like(self, other) -> bool:
+        """Whether ``other`` is of this kind; if so, it must have as many variables."""
+        if type(other) is type(self) and self.k != other.k:
+            raise ValueError("variable counts differ")
+        return type(other) is type(self)
+
+    def __add__(self, other):
+        if not self._like(other):
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return type(self)(self.k, terms)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __mul__(self, other):
+        if isinstance(other, _Polynomial):
+            if not self._like(other):
+                return NotImplemented
+            combine = self._combine
+            terms = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    key = combine(k1, k2)
+                    terms[key] = terms.get(key, 0) + c1 * c2
+            return type(self)(self.k, terms)
+        return type(self)(self.k, {key: c * other for key, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+class NCPolynomial(_Polynomial):
+    """Polynomial in k noncommuting variables; keys are letter tuples, and
+    words multiply by concatenation."""
+
+    __slots__ = ()
+    _combine = staticmethod(operator.add)
 
     @classmethod
     def one(cls, k: int) -> "NCPolynomial":
         return cls(k, {(): 1})
 
-    def coefficient(self, word) -> Fraction:
-        return Fraction(self.terms.get(tuple(word), 0))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NCPolynomial)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
+class CPolynomial(_Polynomial):
+    """Polynomial in k commuting variables; keys are exponent tuples, and
+    exponent vectors multiply by adding."""
 
-    __hash__ = None
+    __slots__ = ()
 
-    def __repr__(self):
-        return f"NCPolynomial(k={self.k}, {len(self.terms)} terms)"
-
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        if self.k != other.k:
-            raise ValueError("variable counts differ")
-        terms = dict(self.terms)
-        for word, c in other.terms.items():
-            terms[word] = terms.get(word, 0) + c
-        return NCPolynomial(self.k, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, NCPolynomial):
-            if self.k != other.k:
-                raise ValueError("variable counts differ")
-            terms = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    key = w1 + w2
-                    terms[key] = terms.get(key, 0) + c1 * c2
-            return NCPolynomial(self.k, terms)
-        return NCPolynomial(self.k, {w: c * other for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-
-class CPolynomial:
-    """Sparse polynomial in k commuting variables; keys are exponent tuples.
-
-    ``terms`` maps each exponent vector to an ``int`` when the coefficient is
-    integral and to a ``Fraction`` otherwise.
-    """
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms=None):
-        self.k = k
-        self.terms = _clean(terms)
+    @staticmethod
+    def _combine(e1: tuple, e2: tuple) -> tuple:
+        return tuple(map(operator.add, e1, e2))
 
     @classmethod
     def one(cls, k: int) -> "CPolynomial":
         return cls(k, {(0,) * k: 1})
-
-    def coefficient(self, exps) -> Fraction:
-        return Fraction(self.terms.get(tuple(exps), 0))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CPolynomial)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"CPolynomial(k={self.k}, {len(self.terms)} terms)"
-
-    def __add__(self, other: "CPolynomial") -> "CPolynomial":
-        if self.k != other.k:
-            raise ValueError("variable counts differ")
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
-        return CPolynomial(self.k, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, CPolynomial):
-            if self.k != other.k:
-                raise ValueError("variable counts differ")
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    terms[key] = terms.get(key, 0) + c1 * c2
-            return CPolynomial(self.k, terms)
-        return CPolynomial(self.k, {e: c * other for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
 
 def expand_nc(basis: str, pi: SetPartition, k: int) -> NCPolynomial:
@@ -204,12 +172,7 @@ def expand_nc(basis: str, pi: SetPartition, k: int) -> NCPolynomial:
 
 
 def _p_single(i: int, k: int) -> CPolynomial:
-    terms = {}
-    for j in range(k):
-        exps = [0] * k
-        exps[j] = i
-        terms[tuple(exps)] = 1
-    return CPolynomial(k, terms)
+    return CPolynomial(k, {(0,) * j + (i,) + (0,) * (k - 1 - j): 1 for j in range(k)})
 
 
 def _e_single(i: int, k: int) -> CPolynomial:
@@ -231,15 +194,11 @@ def expand_c(basis: str, lam: IntegerPartition, k: int) -> CPolynomial:
             return CPolynomial(k)
         exps = lam.parts + (0,) * (k - len(lam.parts))
         return CPolynomial(k, {e: 1 for e in set(itertools.permutations(exps))})
-    if basis == "p":
+    if basis in ("p", "e"):
+        single = _p_single if basis == "p" else _e_single
         out = CPolynomial.one(k)
         for part in lam.parts:
-            out = out * _p_single(part, k)
-        return out
-    if basis == "e":
-        out = CPolynomial.one(k)
-        for part in lam.parts:
-            out = out * _e_single(part, k)
+            out = out * single(part, k)
         return out
     if basis == "x":
         br = bracket(lam)

@@ -134,20 +134,18 @@ def _vector_partitions(counts: tuple, width: int, walk: str, weights=None):
     7.2.1.5, multiset partitions): the next vector holds the top nonzero
     coordinate of what is left and is at most the previous one, so each
     multiset comes once and every prefix completes.  The vectors that fit
-    into each distinct remainder are listed once.
+    into each distinct remainder are listed once.  On the refinement
+    walk a count of one fits exactly one vector, which the descent takes
+    without branching.
     """
     k = len(counts)
     guard = ((1 << width * k) - 1) // ((1 << width) - 1) << width - 1  # each field's top bit
     by_top = [[] for _ in counts]  # (word, size, prod v_i!) by top coordinate, decreasing
-    words, sizes, full = [], [], 0  # refinements: a count of one is one vector
+    words, sizes, full = [], [], 0
     for i, c in enumerate(counts):
-        w = weights[i] if weights else 1
-        if walk == "refinements" and c == 1:
-            words.append(1 << width * i)
-            sizes.append(w)
-            continue
         full |= c << width * i
-        if walk == "refinements":
+        if walk == "refinements":  # the multiples of one coordinate
+            w = weights[i] if weights else 1
             by_top[i] = [(v << width * i, v * w, factorial(v)) for v in range(c, 0, -1)]
     if walk != "refinements":  # every sub-vector, top coordinate first, in decreasing order
         ranges = [range(1 if walk == "transversal" else c, -1, -1) for c in reversed(counts)]
@@ -190,8 +188,8 @@ def _vector_partitions(counts: tuple, width: int, walk: str, weights=None):
 
     if full:
         descend(full, -1, 0, 0, 1)
-    else:
-        out.append((tuple(words), tuple(sizes), total))
+    else:  # no counts: the empty multiset
+        out.append(((), (), total))
     return out
 
 

@@ -362,7 +362,6 @@ def test_shape_class_outputs_share_one_coefficient_per_shape(monkeypatch):
     # walk, and give every key of one shape the same coefficient object
     validated = []
     monkeypatch.setattr(SetPartition, "__init__", lambda self, blocks=(): validated.append(blocks))
-    expressions._partitions_of_shape.cache_clear()
     sym._key_convert_sym.cache_clear()
     results = [x_to_m_top(n) for n in range(1, 9)]
     for basis, lam in zip("mpex", (ip_(3, 2, 1), ip_(4, 4), ip_(2, 2, 1, 1), ip_(5, 3))):

@@ -97,6 +97,28 @@ def test_commute_scalars():
             )
 
 
+def test_polynomials_of_two_kinds_neither_add_nor_multiply():
+    # a word and an exponent vector are both int tuples, so mixing them
+    # would silently read one as the other
+    nc = NCPolynomial(2, {(1, 2): 1})
+    c = CPolynomial(2, {(1, 1): 1})
+    for combine in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+    ):
+        for a, b in ((nc, c), (c, nc)):
+            with pytest.raises(TypeError):
+                combine(a, b)
+    assert nc != NCPolynomial(2, {(1, 1): 1}) and c != CPolynomial(2, {(1, 2): 1})
+    assert nc != CPolynomial(2, {(1, 2): 1}) and c != NCPolynomial(2, {(1, 1): 1})
+    assert nc * nc == NCPolynomial(2, {(1, 2, 1, 2): 1})
+    assert c * c == CPolynomial(2, {(2, 2): 1})
+    assert repr(c - c) == "CPolynomial(k=2, 0 terms)"
+    with pytest.raises(ValueError, match="variable counts differ"):
+        nc + NCPolynomial(3, {(1, 2): 1})
+
+
 def test_symmetrize_single_variable_power():
     q = CPolynomial(2, {(3, 0): 1})
     assert symmetrize_R(q, 3).terms == {(1, 1, 1): 1}

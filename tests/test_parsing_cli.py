@@ -152,6 +152,18 @@ def test_cli_split_rejects_a_repeated_element(capsys):
         assert err.startswith("parse error: repeated element 1 in element set")
 
 
+def test_cli_split_points_at_the_first_malformed_piece(capsys):
+    for text, position in ((" 2,a", 3), ("1,,2", 2), ("a,1", 0), ("1,1,a", 2)):
+        with pytest.raises(ParseError) as info:
+            cli._parse_int_set(text)
+        assert info.value.position == position
+    assert str(info.value).startswith("repeated element 1")  # the earlier fault
+    assert main(["coproduct", "x{1,2,3}", "--split", " 2,a"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: malformed element set ' 2,a' (at position 3)\n"
+
+
 def test_cli_mobius(capsys):
     assert main(["mobius", "1/3/24", "13/24"]) == 0
     assert capsys.readouterr().out.strip() == "-1"

@@ -179,7 +179,7 @@ def _grouped(counts, width, walk, weights=None):
     unit = [1 << width * i for i in owner]
     classes = {}
     for blocks, words in _rgs_blocks(range(len(owner)), unit):
-        fields = [expressions._fields(width, word) for word in words]
+        fields = [expressions._fields(width, word)[0] for word in words]
         if walk == "transversal" and any(c > 1 for f in fields for _, c in f):
             continue
         if walk == "refinements" and any(len(f) > 1 for f in fields):
