@@ -10,6 +10,12 @@ Every defining sum has integer coefficients, so a polynomial stores each
 coefficient as an ``int`` when it is integral and as a ``Fraction`` only
 otherwise (symmetrizing divides by n!).  ``coefficient()`` still returns a
 ``Fraction``, and equality compares the exact values either way.
+
+The m, p and e expansions and the position action build every word with one
+``operator.itemgetter`` over an assignment or a word, and wrap their terms
+unchecked: each word is built once with coefficient 1, or, for the position
+action, moved by a bijection of the words of one degree, so no two terms
+meet and every coefficient stays as clean as it came in.
 """
 
 from __future__ import annotations
@@ -51,6 +57,18 @@ class _Polynomial:
     def __init__(self, k: int, terms=None):
         self.k = k
         self.terms = _clean(terms)
+
+    @classmethod
+    def _trusted(cls, k: int, terms: dict) -> "_Polynomial":
+        """A polynomial holding ``terms`` as given, unchecked.
+
+        The caller guarantees tuple keys and nonzero coefficients, each an
+        ``int`` when integral; the dict is kept, not copied.
+        """
+        self = object.__new__(cls)
+        self.k = k
+        self.terms = terms
+        return self
 
     def coefficient(self, key) -> Fraction:
         return Fraction(self.terms.get(tuple(key), 0))
@@ -126,6 +144,20 @@ class CPolynomial(_Polynomial):
         return cls(k, {(0,) * k: 1})
 
 
+def _letters_at(indices):
+    """The map from a tuple to the tuple of its entries at ``indices``.
+
+    ``itemgetter`` takes no empty index list and returns a bare entry for a
+    single index, so those two lengths get their own small function.
+    """
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda t: (t[i],)
+    return lambda t: ()
+
+
 def expand_nc(basis: str, pi: SetPartition, k: int) -> NCPolynomial:
     """The defining sum of the basis element at ``pi``, truncated to variables 1..k.
 
@@ -145,30 +177,28 @@ def expand_nc(basis: str, pi: SetPartition, k: int) -> NCPolynomial:
             for word, c in expand_nc("p", sigma, k).terms.items():
                 terms[word] = terms.get(word, 0) + mu * c
         return NCPolynomial(k, terms)
-    n = pi.size
-    index = {x: i for i, blk in enumerate(pi.blocks) for x in blk}
-    terms = {}
-    if basis == "m":
-        assignments = itertools.permutations(range(1, k + 1), len(pi.blocks))
-    elif basis == "p":
-        assignments = itertools.product(range(1, k + 1), repeat=len(pi.blocks))
+    letters = range(1, k + 1)
+    if basis in ("m", "p"):
+        # position j reads the variable assigned to its block
+        index = {x: i for i, blk in enumerate(pi.blocks) for x in blk}
+        word = _letters_at([index[j] for j in range(1, pi.size + 1)])
+        if basis == "m":
+            assignments = itertools.permutations(letters, len(pi.blocks))
+        else:
+            assignments = itertools.product(letters, repeat=len(pi.blocks))
     elif basis == "e":
-        per_block = [
-            list(itertools.permutations(range(1, k + 1), len(blk))) for blk in pi.blocks
-        ]
-        for combo in itertools.product(*per_block):
-            word = [0] * n
-            for blk, vals in zip(pi.blocks, combo):
-                for pos, v in zip(blk, vals):
-                    word[pos - 1] = v
-            terms[tuple(word)] = 1
-        return NCPolynomial(k, terms)
+        # the blocks' letters side by side, then position j reads its own
+        order = [x for blk in pi.blocks for x in blk]
+        where = {x: i for i, x in enumerate(order)}
+        word = _letters_at([where[j] for j in range(1, pi.size + 1)])
+        per_block = [itertools.permutations(letters, len(blk)) for blk in pi.blocks]
+        assignments = map(
+            tuple, map(itertools.chain.from_iterable, itertools.product(*per_block))
+        )
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    for assign in assignments:
-        word = tuple(assign[index[j]] for j in range(1, n + 1))
-        terms[word] = 1
-    return NCPolynomial(k, terms)
+    # distinct assignments spell distinct words, each with coefficient 1
+    return NCPolynomial._trusted(k, dict.fromkeys(map(word, assignments), 1))
 
 
 def _p_single(i: int, k: int) -> CPolynomial:
@@ -193,7 +223,7 @@ def expand_c(basis: str, lam: IntegerPartition, k: int) -> CPolynomial:
         if len(lam.parts) > k:
             return CPolynomial(k)
         exps = lam.parts + (0,) * (k - len(lam.parts))
-        return CPolynomial(k, {e: 1 for e in set(itertools.permutations(exps))})
+        return CPolynomial._trusted(k, dict.fromkeys(_arrangements(exps), 1))
     if basis in ("p", "e"):
         single = _p_single if basis == "p" else _e_single
         out = CPolynomial.one(k)
@@ -209,6 +239,29 @@ def expand_c(basis: str, lam: IntegerPartition, k: int) -> CPolynomial:
                 terms[exps] = terms.get(exps, 0) + mu * c
         return CPolynomial(k, terms)
     raise ValueError(f"unknown basis {basis!r}")
+
+
+def _arrangements(items: tuple) -> list:
+    """Every distinct ordering of ``items``, each built once.
+
+    Distinct items are ``itertools.permutations``.  Otherwise an ordering is
+    the places that the most frequent value leaves to the other items and
+    one distinct ordering of those items, so the work follows the number of
+    distinct orderings, not len(items)!.
+    """
+    if len(set(items)) == len(items):
+        return list(itertools.permutations(items))
+    fill = max(items, key=items.count)
+    rest = tuple(x for x in items if x != fill)
+    padded = [inner + (fill,) for inner in _arrangements(rest)]
+    out = []
+    for places in itertools.combinations(range(len(items)), len(rest)):
+        # a place reads its item of the inner ordering, any other the fill
+        index = [len(rest)] * len(items)
+        for r, j in enumerate(places):
+            index[j] = r
+        out.extend(map(_letters_at(index), padded))
+    return out
 
 
 def commute(poly: NCPolynomial) -> CPolynomial:
@@ -234,9 +287,9 @@ def symmetrize_R(poly: CPolynomial, n: int) -> NCPolynomial:
     for exps, c in poly.terms.items():
         if sum(exps) != n:
             raise ValueError("input must be homogeneous of the stated degree")
-        letters = [v + 1 for v, e in enumerate(exps) for _ in range(e)]
+        letters = tuple(v + 1 for v, e in enumerate(exps) for _ in range(e))
         weight = c * Fraction(prod(factorial(e) for e in exps), factorial(n))
-        for word in set(itertools.permutations(letters)):
+        for word in _arrangements(letters):
             terms[word] = terms.get(word, 0) + weight
     return NCPolynomial(poly.k, terms)
 
@@ -244,14 +297,11 @@ def symmetrize_R(poly: CPolynomial, n: int) -> NCPolynomial:
 def position_permute(poly: NCPolynomial, eta: Permutation) -> NCPolynomial:
     """Rearrange word positions: position j receives the letter from eta^{-1}(j)."""
     n = len(eta)
+    if set(map(len, poly.terms)) - {n}:
+        degree = next(len(word) for word in poly.terms if len(word) != n)
+        raise ValueError(f"permutation of size {n} cannot act on a degree {degree} word")
     inv = eta.inverse()
-    source = [inv(j) - 1 for j in range(1, n + 1)]
-    terms = {}
-    for word, c in poly.terms.items():
-        if len(word) != n:
-            raise ValueError(
-                f"permutation of size {n} cannot act on a degree {len(word)} word"
-            )
-        new = tuple(map(word.__getitem__, source))
-        terms[new] = terms.get(new, 0) + c
-    return NCPolynomial(poly.k, terms)
+    move = _letters_at([inv(j) - 1 for j in range(1, n + 1)])
+    # a bijection of the degree-n words: no two terms meet, none cancels
+    terms = poly.terms
+    return NCPolynomial._trusted(poly.k, dict(zip(map(move, terms), terms.values())))

@@ -87,6 +87,30 @@ def test_oracle_conversions_fail_on_a_half_step(monkeypatch):
     assert all(failing[name] == passing[name] for name in passing if name != CONVERSIONS)
 
 
+def test_oracle_conversions_fail_on_a_dropped_term(monkeypatch):
+    passing = _oracle()
+    real = checks.convert
+    source = NCSymExpr.element("e", SetPartition.parse("1/23"))
+    lost = SetPartition.parse("12/3")
+
+    # e at 1/23 is m at 12/3 plus m at 13/2 plus m at 1/2/3; losing the first
+    # leaves the words of the shape 112 over in the difference, so the
+    # support changes, not just a value
+    def dropping(expr, basis):
+        out = real(expr, basis)
+        if expr == source and basis == "m":
+            assert lost in out.terms
+            return NCSymExpr(basis, {k: c for k, c in out.terms.items() if k != lost})
+        return out
+
+    monkeypatch.setattr(checks, "convert", dropping)
+    failing = _oracle()
+    assert failing[CONVERSIONS] == checks.CheckResult(
+        CONVERSIONS, False, "1 failure(s), first: e->m at 1/2,3"
+    )
+    assert all(failing[name] == passing[name] for name in passing if name != CONVERSIONS)
+
+
 def test_oracle_positions_fail_on_a_wrong_action(monkeypatch):
     real = monomials.position_permute
 

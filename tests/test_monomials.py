@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -11,6 +12,7 @@ from ncsym import (
     commute,
     expand_c,
     expand_nc,
+    integer_partitions,
     position_permute,
     set_partitions,
     symmetrize_R,
@@ -149,6 +151,84 @@ def test_position_permute_matches_relabeled_keys():
                     assert position_permute(
                         expand_nc(basis, pi, k), eta
                     ) == expand_nc(basis, apply_permutation(eta, pi), k)
+
+
+def _accumulating_position_permute(poly, eta):
+    # the reference: accumulate each moved term, then clean
+    n = len(eta)
+    source = [eta.inverse()(j) - 1 for j in range(1, n + 1)]
+    terms = {}
+    for word, c in poly.terms.items():
+        new = tuple(word[i] for i in source)
+        terms[new] = terms.get(new, 0) + c
+    return NCPolynomial(poly.k, terms)
+
+
+def test_position_permute_keeps_the_accumulating_definition():
+    k = 4
+    for pi in set_partitions(range(1, 5)):
+        for basis in "mpex":
+            poly = expand_nc(basis, pi, k)
+            for eta_tuple in itertools.permutations(range(1, 5)):
+                eta = Permutation(eta_tuple)
+                assert position_permute(poly, eta) == _accumulating_position_permute(poly, eta)
+
+
+def test_position_permute_on_words_of_degree_zero_and_one():
+    # itemgetter takes no empty index list and returns a bare letter for one
+    empty = NCPolynomial(2, {(): Fraction(3, 2)})
+    assert position_permute(empty, Permutation(())).terms == {(): Fraction(3, 2)}
+    single = NCPolynomial(3, {(2,): 1, (3,): Fraction(-1, 2)})
+    got = position_permute(single, Permutation((1,)))
+    assert got.terms == {(2,): 1, (3,): Fraction(-1, 2)}
+    assert [type(c) for c in got.terms.values()] == [int, Fraction]
+    assert position_permute(NCPolynomial(2), Permutation((2, 1))).terms == {}
+
+
+def test_position_permute_carries_fraction_coefficients_unchanged():
+    poly = NCPolynomial(3, {(1, 2, 3): Fraction(2, 3), (3, 1, 1): -4})
+    got = position_permute(poly, Permutation((2, 3, 1)))
+    # position j receives the letter from eta^{-1}(j)
+    assert got.terms == {(3, 1, 2): Fraction(2, 3), (1, 3, 1): -4}
+    assert [type(c) for c in got.terms.values()] == [Fraction, int]
+    assert got == _accumulating_position_permute(poly, Permutation((2, 3, 1)))
+
+
+def test_position_permute_rejects_words_of_another_degree():
+    eta = Permutation((2, 3, 1))
+    # a longer word would be cut short by itemgetter, a shorter one fail in it
+    for words, degree in (
+        ({(1, 2, 3, 1): 1}, 4),
+        ({(1, 2): 1}, 2),
+        ({(1, 2, 3): 1, (1, 1): 2, (1, 1, 1, 1): 3}, 2),
+        ({(): 1}, 0),
+    ):
+        with pytest.raises(ValueError) as err:
+            position_permute(NCPolynomial(3, words), eta)
+        assert str(err.value) == f"permutation of size 3 cannot act on a degree {degree} word"
+    with pytest.raises(ValueError) as err:
+        position_permute(NCPolynomial(3, {(1,): 1}), Permutation(()))
+    assert str(err.value) == "permutation of size 0 cannot act on a degree 1 word"
+
+
+def test_distinct_arrangements_match_the_set_of_permutations():
+    # the reference builds every ordering and keeps one of each through a set
+    for n in range(6):
+        for lam in integer_partitions(n):
+            for k in range(1, 7):
+                got = expand_c("m", lam, k)
+                if len(lam.parts) > k:
+                    assert got.terms == {}
+                    continue
+                exps = lam.parts + (0,) * (k - len(lam.parts))
+                assert got.terms == {e: 1 for e in set(itertools.permutations(exps))}
+                want = {}
+                for e in got.terms:
+                    letters = [v + 1 for v, m in enumerate(e) for _ in range(m)]
+                    weight = Fraction(prod(factorial(m) for m in e), factorial(n))
+                    for word in set(itertools.permutations(letters)):
+                        want[word] = want.get(word, 0) + weight
+                assert symmetrize_R(got, n) == NCPolynomial(k, want)
 
 
 def test_product_of_power_expansions():
